@@ -164,8 +164,8 @@ def square_to_top_half_ratio(level: int) -> float:
 def region_area(region: Region) -> float:
     """Exact normalized area of a region.
 
-    TildeDisc is rejected: it has no closed form, integrate an indicator
-    instead.
+    TildeDisc is rejected: it has no closed form; integrate over it with
+    the quadrature engine, which maps its exact boundary.
     """
     if isinstance(region, WholeDisc):
         return 1.0

@@ -1,13 +1,24 @@
-"""Adaptive quadrature on the unit disc in polar coordinates.
+"""Adaptive quadrature on the unit disc.
 
 Integrals are taken against the normalized area measure dA (total mass
-one) or its weighted variant dA_eta = (eta+1)*(1-|z|)**eta dA.  The
-scheme is a tensor product of Gauss-Legendre nodes on polar rectangles.
-Initial panels are aligned with the boundary of the requested region, a
-coarse/fine estimate pair gives every panel an error indicator, and the
-panel with the worst indicator is split until the summed indicators drop
-below ``tol * (1 + |result|)`` or the evaluation budget runs out, in
-which case :class:`ToleranceNotReached` carries the best estimate out.
+one) or its weighted variant dA_eta = (eta+1)*(1-|z|)**eta dA.  One
+engine serves every integral.  A box is a segment (for radial
+integrals) or a rectangle (for polar panels); a coordinate map carries
+the tensor Gauss-Legendre rule on the box to points and weights.  Seed
+boxes are aligned with the boundary of the requested region, a
+coarse/fine estimate pair (the box against its children) gives every
+box an error indicator, and the box with the worst indicator is bisected
+along every axis until the summed indicators drop below
+``tol * (1 + |result|)`` or the evaluation budget runs out, in which case
+:class:`ToleranceNotReached` carries the best estimate out.
+
+The maps are polar rectangles (r, t) -> r e^{it} for the dyadic regions
+and annuli, local polar rectangles about the center of a HyperbolicDisc,
+and the exact TildeDisc map (t, phi) -> c + t s*(phi) e^{i phi} with
+t in [0, 1] and Jacobian t s*(phi)**2.  Its edge is
+s*(phi) = C / (B + sqrt(B**2 - A C)) with A = 1/rho**2 - 1,
+B = 1/rho + Re(conj(c) e^{i phi}) and C = 1 - |c|**2, so every node lies
+in the region and the integrand stays smooth up to the edge.
 
 Panels that touch |z| = 1 while the integrand carries a radial power
 (1-|z|)**q with q != 0 are integrated in the substituted variable u
@@ -23,7 +34,9 @@ identical inputs produce bit-identical results.
 
 from __future__ import annotations
 
+import cmath
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
@@ -171,45 +184,46 @@ def radial_power_field(exponent: float, matrix: np.ndarray) -> MatrixField:
     )
 
 
-def radial_profile_field(
-    profile: Callable[[np.ndarray], np.ndarray],
-    matrix: np.ndarray,
-    singular_exponent: float = 0.0,
-) -> MatrixField:
-    """Field profile(|z|) * M for a scalar radial profile."""
-    m = np.asarray(matrix, dtype=complex)
-
-    def evaluator(z: np.ndarray) -> np.ndarray:
-        return np.asarray(profile(np.abs(z)))[:, None, None] * m
-
-    return MatrixField(
-        dim=m.shape[0],
-        evaluator=evaluator,
-        singular_exponent=singular_exponent,
-        radial=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # adaptive engine
 
 
-class _PolarPatch:
+def _rule(fn, shape, nodes):
+    """Panel estimator: the tensor Gauss rule on a box pushed through a map.
+
+    ``nodes(box, order)`` returns the mapped points, the weight factors
+    and the einsum subscripts contracting them with the values of fn.
+    """
+
+    def estimate(box, order):
+        z, weights, subscripts = nodes(box, order)
+        vals = np.asarray(fn(z.ravel())).reshape(*z.shape, *shape)
+        return np.einsum(subscripts, *weights, vals), z.size
+
+    return estimate
+
+
+def _line(box, order):
+    """Segment [a, b] of the real line, unit weight."""
+    x, w = _panel_nodes(*box, order)
+    return x, (w,), "i,i...->..."
+
+
+def _polar_nodes(r, radial_w, t0, t1, order):
+    t, wt = _panel_nodes(t0, t1, order)
+    return r[:, None] * np.exp(1j * t)[None, :], (radial_w, wt), "i,j,ij...->..."
+
+
+def _polar(eta):
     """Polar rectangle in plain (r, t) coordinates."""
 
-    def __init__(self, fn, eta, shape):
-        self.fn = fn
-        self.eta = eta
-        self.shape = shape
-
-    def estimate(self, rect, order):
-        r0, r1, t0, t1 = rect
+    def nodes(box, order):
+        r0, r1, t0, t1 = box
         r, wr = _panel_nodes(r0, r1, order)
-        t, wt = _panel_nodes(t0, t1, order)
-        z = r[:, None] * np.exp(1j * t)[None, :]
-        vals = np.asarray(self.fn(z.ravel())).reshape(r.size, t.size, *self.shape)
-        radial_w = wr * (self.eta + 1.0) * (1.0 - r) ** self.eta * r / math.pi
-        return np.einsum("i,j,ij...->...", radial_w, wt, vals), r.size * t.size
+        radial_w = wr * (eta + 1.0) * (1.0 - r) ** eta * r / math.pi
+        return _polar_nodes(r, radial_w, t0, t1, order)
+
+    return nodes
 
 
 def _power_substitution(q: float) -> int:
@@ -228,7 +242,7 @@ def _power_substitution(q: float) -> int:
     return max(1, math.ceil(1.0 / power))
 
 
-class _SubstitutedPolarPatch:
+def _substituted_polar(eta, p):
     """Polar rectangle in (u, t) with 1 - r = u**p.
 
     The measure factor (eta+1)*(1-r)**eta dr becomes
@@ -238,88 +252,75 @@ class _SubstitutedPolarPatch:
     the quadrature nodes is smooth.
     """
 
-    def __init__(self, fn, eta, q, shape):
-        self.fn = fn
-        self.eta = eta
-        self.p = _power_substitution(q)
-        self.shape = shape
-
-    def estimate(self, rect, order):
-        u0, u1, t0, t1 = rect
+    def nodes(box, order):
+        u0, u1, t0, t1 = box
         u, wu = _panel_nodes(u0, u1, order)
-        t, wt = _panel_nodes(t0, t1, order)
-        p = self.p
         r = np.minimum(1.0 - u ** p, 1.0 - _BOUNDARY_CLAMP)
-        z = r[:, None] * np.exp(1j * t)[None, :]
-        vals = np.asarray(self.fn(z.ravel())).reshape(r.size, t.size, *self.shape)
-        radial_w = (
-            wu
-            * (self.eta + 1.0)
-            * p
-            * u ** (p * (1.0 + self.eta) - 1.0)
-            * r
-            / math.pi
-        )
-        return np.einsum("i,j,ij...->...", radial_w, wt, vals), r.size * t.size
+        radial_w = wu * (eta + 1.0) * p * u ** (p * (1.0 + eta) - 1.0) * r / math.pi
+        return _polar_nodes(r, radial_w, t0, t1, order)
+
+    return nodes
 
 
-class _LocalPolarPatch:
-    """Polar rectangle (s, phi) about an interior center point.
+def _local_polar(eta, center, edge):
+    """(s, phi) -> center + s*edge(phi)*e^{i phi}, Jacobian s*edge(phi)**2.
 
     The measure weight is evaluated at the global modulus of each mapped
-    node.  An optional indicator restricts integration to a sub-region;
-    nodes outside are zeroed after the weight is computed on a clamped
-    modulus, so no invalid powers are formed.
+    node.
     """
 
-    def __init__(self, fn, eta, center, shape, indicator=None):
-        self.fn = fn
-        self.eta = eta
-        self.center = center
-        self.shape = shape
-        self.indicator = indicator
-
-    def estimate(self, rect, order):
-        s0, s1, p0, p1 = rect
+    def nodes(box, order):
+        s0, s1, p0, p1 = box
         s, ws = _panel_nodes(s0, s1, order)
         phi, wp = _panel_nodes(p0, p1, order)
-        z = self.center + s[:, None] * np.exp(1j * phi)[None, :]
-        az = np.abs(z)
-        safe = np.minimum(az, 1.0 - _BOUNDARY_CLAMP)
-        weight = np.outer(ws * s, wp) / math.pi
-        weight = weight * (self.eta + 1.0) * (1.0 - safe) ** self.eta
-        if self.indicator is not None:
-            weight = weight * self.indicator(z, az)
-        # Nodes at |z| >= 1 carry zero weight (indicator regions only);
-        # pull them just inside so the evaluator never sees bad points.
-        pulled = z * np.where(
-            az >= 1.0, (1.0 - _BOUNDARY_CLAMP) / np.maximum(az, 1.0), 1.0
-        )
-        vals = np.asarray(self.fn(pulled.ravel())).reshape(s.size, phi.size, *self.shape)
-        return np.einsum("ij,ij...->...", weight, vals), s.size * phi.size
+        e = edge(phi)
+        z = center + (s[:, None] * e) * np.exp(1j * phi)[None, :]
+        safe = np.minimum(np.abs(z), 1.0 - _BOUNDARY_CLAMP)
+        weight = np.outer(ws * s, wp * e * e) / math.pi
+        weight = weight * (eta + 1.0) * (1.0 - safe) ** eta
+        return z, (weight,), "ij,ij...->..."
+
+    return nodes
+
+
+def _tilde_edge(center: complex, ratio: float):
+    """Distance s*(phi) from the center to the edge of a TildeDisc.
+
+    On the edge |z - c| = ratio*(1 - |z|) with z = c + s*e^{i phi}, which
+    is the quadratic A s**2 - 2 B s + C = 0; s* is its smaller root.
+    """
+    a = 1.0 / ratio ** 2 - 1.0
+    c = 1.0 - abs(center) ** 2
+
+    def edge(phi):
+        b = 1.0 / ratio + np.real(np.conj(center) * np.exp(1j * phi))
+        # B**2 - A*C vanishes at the corner the edge has when it passes
+        # through the origin; keep roundoff from turning it negative
+        return c / (b + np.sqrt(np.maximum(b * b - a * c, 0.0)))
+
+    return edge
 
 
 def _value_norm(v) -> float:
     return float(np.linalg.norm(np.asarray(v).ravel()))
 
 
-def _split(rect):
-    x0, x1, y0, y1 = rect
-    xm = 0.5 * (x0 + x1)
-    ym = 0.5 * (y0 + y1)
-    return (
-        (x0, xm, y0, ym),
-        (x0, xm, ym, y1),
-        (xm, x1, y0, ym),
-        (xm, x1, ym, y1),
-    )
+def _split(box):
+    """Bisect every axis: 2 children of a segment, 4 of a rectangle."""
+    halves = []
+    for lo, hi in zip(box[::2], box[1::2]):
+        mid = 0.5 * (lo + hi)
+        halves.append(((lo, mid), (mid, hi)))
+    return [sum(parts, ()) for parts in itertools.product(*halves)]
 
 
 def _adapt(entries, tol, budget, order):
-    """Greedy worst-panel refinement over (patch, rect) seed panels.
+    """Greedy worst-box refinement over (estimate, box) seeds.
 
-    Returns (value, error_estimate, evaluations).  The reported value is
-    re-summed over surviving panels in a fixed order for bit stability.
+    A box is a segment (a, b) or a rectangle (x0, x1, y0, y1), and
+    ``estimate(box, order)`` returns (value, evaluations).  Returns
+    (value, error_estimate, evaluations).  The reported value is
+    re-summed over surviving boxes in a fixed order for bit stability.
     """
     live = {}
     heap = []
@@ -328,20 +329,20 @@ def _adapt(entries, tol, budget, order):
     total = None
     err_sum = 0.0
 
-    def measure(patch, rect):
+    def measure(estimate, box):
         nonlocal evals
-        coarse, n1 = patch.estimate(rect, order)
+        coarse, n1 = estimate(box, order)
         fine = None
-        for child in _split(rect):
-            v, n2 = patch.estimate(child, order)
+        for child in _split(box):
+            v, n2 = estimate(child, order)
             fine = v if fine is None else fine + v
             n1 += n2
         evals += n1
         return fine, _value_norm(coarse - fine)
 
-    for pid, (patch, rect) in enumerate(entries):
-        fine, err = measure(patch, rect)
-        live[counter] = (pid, rect, fine, err)
+    for pid, (estimate, box) in enumerate(entries):
+        fine, err = measure(estimate, box)
+        live[counter] = (pid, box, fine, err)
         heapq.heappush(heap, (-err, counter))
         total = fine if total is None else total + fine
         err_sum += err
@@ -365,10 +366,10 @@ def _adapt(entries, tol, budget, order):
                 achieved=err_sum,
                 evaluations=evals,
             )
-        pid, rect, fine, err = live.pop(idx)
+        pid, box, fine, err = live.pop(idx)
         total = total - fine
         err_sum -= err
-        for child in _split(rect):
+        for child in _split(box):
             cfine, cerr = measure(entries[pid][0], child)
             live[counter] = (pid, child, cfine, cerr)
             heapq.heappush(heap, (-cerr, counter))
@@ -377,9 +378,13 @@ def _adapt(entries, tol, budget, order):
             counter += 1
 
 
+def _cuts(a, b, breaks):
+    return [a] + sorted(p for p in breaks if a < p < b) + [b]
+
+
 def _seed_rects(x0, x1, xbreaks, y0, y1, ybreaks, max_y_span=0.5 * math.pi):
-    xs = [x0] + sorted(b for b in xbreaks if x0 < b < x1) + [x1]
-    ys = [y0] + sorted(b for b in ybreaks if y0 < b < y1) + [y1]
+    xs = _cuts(x0, x1, xbreaks)
+    ys = _cuts(y0, y1, ybreaks)
     refined = []
     for a, b in zip(ys[:-1], ys[1:]):
         pieces = max(1, math.ceil((b - a) / max_y_span))
@@ -396,105 +401,43 @@ def _seed_rects(x0, x1, xbreaks, y0, y1, ybreaks, max_y_span=0.5 * math.pi):
 
 def _polar_rect_integrate(
     fn, shape, eta, singular_exponent, r0, r1, t0, t1, tol, budget,
-    radial_breaks=(), angular_breaks=(), order=GAUSS_ORDER,
+    radial_breaks=(), angular_breaks=(),
 ):
     q = eta + singular_exponent
     if q != 0.0 and r1 >= 1.0 - 1e-14:
-        patch = _SubstitutedPolarPatch(fn, eta, q, shape)
-        inv_p = 1.0 / patch.p
-        x1 = (1.0 - r0) ** inv_p
+        p = _power_substitution(q)
+        nodes = _substituted_polar(eta, p)
+        inv_p = 1.0 / p
+        x0, x1 = 0.0, (1.0 - r0) ** inv_p
         xbreaks = [(1.0 - rb) ** inv_p for rb in radial_breaks if r0 < rb < r1]
-        rects = _seed_rects(0.0, x1, xbreaks, t0, t1, angular_breaks)
     else:
-        patch = _PolarPatch(fn, eta, shape)
-        rects = _seed_rects(r0, r1, radial_breaks, t0, t1, angular_breaks)
-    entries = [(patch, r) for r in rects]
-    return _adapt(entries, tol, budget, order)
+        nodes = _polar(eta)
+        x0, x1, xbreaks = r0, r1, radial_breaks
+    estimate = _rule(fn, shape, nodes)
+    rects = _seed_rects(x0, x1, xbreaks, t0, t1, angular_breaks)
+    return _adapt([(estimate, r) for r in rects], tol, budget, GAUSS_ORDER)
 
 
-def _local_polar_integrate(
-    fn, shape, eta, center, rho, tol, budget, indicator=None,
-    radial_seed_breaks=(), order=GAUSS_ORDER,
-):
-    patch = _LocalPolarPatch(fn, eta, center, shape, indicator=indicator)
-    breaks = sorted(set([0.5 * rho, *radial_seed_breaks]))
-    rects = _seed_rects(0.0, rho, breaks, 0.0, TWO_PI, ())
-    entries = [(patch, r) for r in rects]
-    return _adapt(entries, tol, budget, order)
+def _local_polar_integrate(fn, shape, eta, region, tol, budget):
+    """HyperbolicDisc or TildeDisc in polar coordinates about its center."""
+    center = region.center
+    if isinstance(region, HyperbolicDisc):
+        rho = region.euclidean_radius
+        # a Euclidean disc: the box's first axis is the distance s itself
+        nodes = _local_polar(eta, center, lambda phi: 1.0)
+        rects = _seed_rects(0.0, rho, [0.5 * rho], 0.0, TWO_PI, ())
+    else:
+        # the edge has its only corner in the direction of the origin, so
+        # the angular period starts there
+        phi0 = cmath.phase(-center)
+        nodes = _local_polar(eta, center, _tilde_edge(center, region.ratio))
+        rects = _seed_rects(0.0, 1.0, (), phi0, phi0 + TWO_PI, ())
+    estimate = _rule(fn, shape, nodes)
+    return _adapt([(estimate, r) for r in rects], tol, budget, GAUSS_ORDER)
 
 
 # ---------------------------------------------------------------------------
 # one-dimensional radial integrals
-
-
-class _LinePatch:
-    def __init__(self, fn, shape):
-        self.fn = fn
-        self.shape = shape
-
-    def estimate(self, seg, order):
-        a, b = seg
-        x, w = _panel_nodes(a, b, order)
-        vals = np.asarray(self.fn(x)).reshape(x.size, *self.shape)
-        return np.einsum("i,i...->...", w, vals), x.size
-
-
-def _adapt_line(fn, shape, a, b, tol, budget, order, breaks=()):
-    patch = _LinePatch(fn, shape)
-    pts = [a] + sorted(p for p in breaks if a < p < b) + [b]
-    live = {}
-    heap = []
-    counter = 0
-    evals = 0
-    total = None
-    err_sum = 0.0
-
-    def measure(seg):
-        nonlocal evals
-        coarse, n1 = patch.estimate(seg, order)
-        mid = 0.5 * (seg[0] + seg[1])
-        left, n2 = patch.estimate((seg[0], mid), order)
-        right, n3 = patch.estimate((mid, seg[1]), order)
-        evals += n1 + n2 + n3
-        fine = left + right
-        return fine, _value_norm(coarse - fine)
-
-    for seg in zip(pts[:-1], pts[1:]):
-        fine, err = measure(seg)
-        live[counter] = (seg, fine, err)
-        heapq.heappush(heap, (-err, counter))
-        total = fine if total is None else total + fine
-        err_sum += err
-        counter += 1
-
-    while True:
-        if err_sum <= tol * (1.0 + _value_norm(total)) or not heap:
-            ordered = sorted(live.values(), key=lambda it: it[0])
-            final = ordered[0][1]
-            for item in ordered[1:]:
-                final = final + item[1]
-            return final, err_sum, evals
-        neg_err, idx = heapq.heappop(heap)
-        if idx not in live:
-            continue
-        if evals >= budget:
-            raise ToleranceNotReached(
-                f"radial error estimate {err_sum:.3e} above requested {tol:.3e}",
-                value=total,
-                achieved=err_sum,
-                evaluations=evals,
-            )
-        seg, fine, err = live.pop(idx)
-        total = total - fine
-        err_sum -= err
-        mid = 0.5 * (seg[0] + seg[1])
-        for child in ((seg[0], mid), (mid, seg[1])):
-            cfine, cerr = measure(child)
-            live[counter] = (child, cfine, cerr)
-            heapq.heappush(heap, (-cerr, counter))
-            total = total + cfine
-            err_sum += cerr
-            counter += 1
 
 
 def radial_integral(
@@ -519,20 +462,20 @@ def radial_integral(
     probe = np.asarray(fn(np.array([0.5 * (a + b)])))
     shape = probe.shape[1:]
     if q == 0.0:
-        value, _, _ = _adapt_line(fn, shape, a, b, tol, budget, GAUSS_ORDER)
-        return value if shape else complex(value).real
+        integrand, seg = fn, (a, b)
+    else:
+        p = _power_substitution(q)
+        alpha = p * (1.0 + q) - 1.0
 
-    p = _power_substitution(q)
-    alpha = p * (1.0 + q) - 1.0
-    ua = (1.0 - a) ** (1.0 / p)
-    ub = (1.0 - b) ** (1.0 / p)
+        def integrand(u: np.ndarray) -> np.ndarray:
+            vals = np.asarray(fn(1.0 - u ** p))
+            w = p * u ** alpha
+            return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        vals = np.asarray(fn(1.0 - u ** p))
-        w = p * u ** alpha
-        return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
-
-    value, _, _ = _adapt_line(integrand, shape, ub, ua, tol, budget, GAUSS_ORDER)
+        seg = ((1.0 - b) ** (1.0 / p), (1.0 - a) ** (1.0 / p))
+    value, _, _ = _adapt(
+        [(_rule(integrand, shape, _line), seg)], tol, budget, GAUSS_ORDER
+    )
     return value if shape else complex(value).real
 
 
@@ -550,20 +493,18 @@ def _radial_field_integral(
             w = (eta + 1.0) * p * u ** (p * (1.0 + eta) - 1.0) * 2.0 * r
             return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
 
-        ua = (1.0 - a) ** (1.0 / p)
-        value, err, evals = _adapt_line(
-            integrand, shape, 0.0, ua, tol, budget, GAUSS_ORDER
-        )
-        return value
+        segs = [(0.0, (1.0 - a) ** (1.0 / p))]
+    else:
 
-    def integrand(r):
-        vals = np.asarray(fn(r.astype(complex)))
-        w = (eta + 1.0) * (1.0 - r) ** eta * 2.0 * r
-        return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
+        def integrand(r):
+            vals = np.asarray(fn(r.astype(complex)))
+            w = (eta + 1.0) * (1.0 - r) ** eta * 2.0 * r
+            return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
 
-    value, err, evals = _adapt_line(
-        integrand, shape, a, b, tol, budget, GAUSS_ORDER, breaks=breaks
-    )
+        cuts = _cuts(a, b, breaks)
+        segs = list(zip(cuts[:-1], cuts[1:]))
+    estimate = _rule(integrand, shape, _line)
+    value, _, _ = _adapt([(estimate, s) for s in segs], tol, budget, GAUSS_ORDER)
     return value
 
 
@@ -618,24 +559,8 @@ def integrate_values(
             radial_breaks=radial_breaks, angular_breaks=angular_breaks,
         )
         return np.asarray(value)
-    if isinstance(region, HyperbolicDisc):
-        value, _, _ = _local_polar_integrate(
-            fn, shape, eta, region.center, region.euclidean_radius, tol, budget
-        )
-        return np.asarray(value)
-    if isinstance(region, TildeDisc):
-        center, ratio = region.center, region.ratio
-
-        def indicator(z, az):
-            return (np.abs(z - center) < ratio * (1.0 - az)) & (az < 1.0)
-
-        # membership is certain inside this radius, so the indicator only
-        # needs resolving on the outer annulus
-        inscribed = ratio * (1.0 - abs(center)) / (1.0 + ratio)
-        value, _, _ = _local_polar_integrate(
-            fn, shape, eta, center, region.bounding_radius, tol, budget,
-            indicator=indicator, radial_seed_breaks=[inscribed],
-        )
+    if isinstance(region, (HyperbolicDisc, TildeDisc)):
+        value, _, _ = _local_polar_integrate(fn, shape, eta, region, tol, budget)
         return np.asarray(value)
     raise TypeError(f"not a region: {region!r}")
 
@@ -769,27 +694,3 @@ def integrate_annulus(
     value = np.asarray(value)
     return 0.5 * (value + value.conj().T)
 
-
-def scalar_polar_rect(
-    r0: float,
-    r1: float,
-    t0: float,
-    t1: float,
-    spec: MeasureSpec = PLAIN,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    """dA_eta mass of a polar rectangle, via the same panel engine."""
-    value, _, _ = _polar_rect_integrate(
-        lambda z: np.ones(z.shape[0]),
-        (),
-        spec.eta,
-        0.0,
-        r0,
-        r1,
-        t0,
-        t1,
-        tol,
-        budget,
-    )
-    return float(np.real(value))

@@ -5,6 +5,7 @@ Expected values below are classical: the dA_eta mass of the disc is
 [0, 1] are beta functions.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -31,7 +32,6 @@ from bergman_carleson.quadrature import (
     integrate_scalar,
     integrate_values,
     radial_integral,
-    scalar_polar_rect,
 )
 
 DISC = WholeDisc()
@@ -136,13 +136,43 @@ class TestRegionMasses:
         assert v == pytest.approx(1.0 / 9.0, abs=1e-10)
 
     def test_tilde_disc_off_center_bounds(self):
-        # indicator integration is slow; ask for a loose tolerance and
-        # check the mass lands between the inscribed and bounding discs
+        # a geometric bracket, independent of the quadrature's accuracy:
+        # the mass lands between the inscribed and bounding discs at any
+        # tolerance (accuracy is checked by test_tilde_disc_default_tol)
         region = TildeDisc(0.4 + 0j, 0.5)
         v = integrate_scalar(lambda z: np.ones(z.shape[0]), region, tol=2e-4)
         inner = (0.5 * 0.6 / 1.5) ** 2
         outer = region.bounding_radius ** 2
         assert inner < v < outer
+
+    @pytest.mark.parametrize("center", [0.5, 0.9])
+    def test_tilde_disc_default_tol(self, center):
+        # second route: the area is (1/2pi) * integral of s*(phi)**2, with
+        # s* the distance from the center to the edge |z-c| = r (1-|z|)
+        c, r = complex(center), 0.5
+        x, w = np.polynomial.legendre.leggauss(200)
+        phi = cmath.phase(-c) + math.pi * (x + 1.0)
+        a = 1.0 / r**2 - 1.0
+        b = 1.0 / r + np.real(np.conj(c) * np.exp(1j * phi))
+        cc = 1.0 - abs(c) ** 2
+        edge = cc / (b + np.sqrt(np.maximum(b * b - a * cc, 0.0)))
+        expect = float(np.dot(w, edge * edge)) / 2.0
+        v = integrate_scalar(lambda z: np.ones(z.shape[0]), TildeDisc(c, r))
+        assert abs(v - expect) <= 10.0 * 1e-8 * (1.0 + expect)
+
+    def test_tilde_disc_weighted_mass(self):
+        # at the origin the region is the disc of radius R = r/(1+r); its
+        # dA_eta mass is 2[u**(eta+1) - (eta+1)/(eta+2) u**(eta+2)] from
+        # u = 1-R to u = 1
+        eta, r = 1.5, 0.5
+        big_r = r / (1.0 + r)
+
+        def mass(u):
+            return 2.0 * (u ** (eta + 1.0) - (eta + 1.0) / (eta + 2.0) * u ** (eta + 2.0))
+
+        expect = mass(1.0) - mass(1.0 - big_r)
+        v = integrate_scalar(lambda z: np.ones(z.shape[0]), TildeDisc(0j, r), MeasureSpec(eta))
+        assert abs(v - expect) <= 10.0 * 1e-8 * (1.0 + expect)
 
 
 class TestRadialIntegral:
@@ -181,7 +211,7 @@ class TestRadialIntegral:
 
 class TestPolarRect:
     def test_sector_mass(self):
-        got = scalar_polar_rect(0.3, 0.9, 0.2, 1.1)
+        got = integrate_polar_rect(identity_field(1), 0.3, 0.9, 0.2, 1.1)[0, 0].real
         expect = (0.81 - 0.09) * 0.9 / (2.0 * math.pi)
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -194,7 +224,8 @@ class TestPolarRect:
 
 
 class TestEngineBehavior:
-    def test_budget_exhaustion_carries_partial_result(self):
+    @pytest.mark.parametrize("path", ["disc", "radial"])
+    def test_budget_exhaustion_carries_partial_result(self, path):
         f = MatrixField(
             dim=1,
             evaluator=lambda z: (np.cos(40.0 * np.angle(z)) + 2.0)[
@@ -202,11 +233,20 @@ class TestEngineBehavior:
             ].astype(complex),
         )
         with pytest.raises(ToleranceNotReached) as exc:
-            integrate(f, DISC, tol=1e-14, budget=4000)
+            if path == "disc":
+                integrate(f, DISC, tol=1e-14, budget=4000)
+            else:
+                radial_integral(
+                    lambda r: np.cos(4000.0 * r) + 2.0, 0.0, 1.0, tol=1e-14, budget=4000
+                )
         err = exc.value
         assert err.value is not None
         assert err.evaluations >= 4000
         assert err.achieved > 1e-14
+        message = str(err)
+        assert f"{err.achieved:.3e}" in message
+        assert "1.000e-14" in message
+        assert f"after {err.evaluations} evaluations" in message
 
     def test_repeat_calls_bit_identical(self):
         f = MatrixField(
