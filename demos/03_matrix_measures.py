@@ -10,6 +10,7 @@ block norm relative to cell (or square) area.
 
 import numpy as np
 
+from bergman_carleson.disc_geometry import row_index
 from bergman_carleson.measures import (
     atom_measure,
     carleson_intensity,
@@ -24,7 +25,9 @@ origin = atom_measure(0.0, np.eye(2))
 masses = partition_masses(origin, 4)
 report = carleson_intensity(origin, 4, masses=masses)
 print("origin atom, depth 4")
-print(f"  cells holding mass: {[str(i) for i, m in masses.cells.items() if np.any(m)]}")
+# masses.cells is one array with a row per cell; row_index names the cell
+held = [str(row_index(row)) for row, m in enumerate(masses.cells) if np.any(m)]
+print(f"  cells holding mass: {held}")
 print(f"  square intensity:   {report.intensity:.6f}  at {report.intensity_cell}")
 print(f"  cell intensity:     {report.tophalf_intensity:.6f}  at {report.tophalf_cell}")
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,9 +43,9 @@ class DyadicIndex:
             )
 
     @property
-    def arc_width(self) -> float:
-        """Angular width 2*pi/2**level of the arc."""
-        return TWO_PI * 2.0 ** -self.level
+    def row(self) -> int:
+        """Row 2**level - 1 + position of the cell in a level-major table."""
+        return 2 ** self.level - 1 + self.position
 
     def theta_bounds(self) -> tuple[float, float]:
         """Half-open angular interval [lo, hi) spanned by the arc."""
@@ -68,6 +70,17 @@ def dyadic_children(index: DyadicIndex) -> tuple[DyadicIndex, DyadicIndex]:
     return index.children()
 
 
+def row_index(row: int) -> DyadicIndex:
+    """The cell at a row of a level-major table; inverse of ``DyadicIndex.row``."""
+    level = (int(row) + 1).bit_length() - 1
+    return DyadicIndex(level, int(row) + 1 - 2 ** level)
+
+
+def level_rows(level: int) -> slice:
+    """The rows of one level in a level-major table, position increasing."""
+    return slice(2 ** level - 1, 2 ** (level + 1) - 1)
+
+
 @dataclass(frozen=True)
 class WholeDisc:
     """The open unit disc."""
@@ -87,6 +100,13 @@ class TopHalf:
     index: DyadicIndex
 
 
+def _check_center_and_ratio(region) -> None:
+    if abs(region.center) >= 1.0:
+        raise ValueError("center must lie in the open unit disc")
+    if not 0.0 < region.ratio < 1.0:
+        raise ValueError(f"ratio must lie in (0, 1), got {region.ratio}")
+
+
 @dataclass(frozen=True)
 class HyperbolicDisc:
     """Euclidean disc about ``center`` of radius ``ratio * (1 - |center|)``.
@@ -97,11 +117,7 @@ class HyperbolicDisc:
     center: complex
     ratio: float
 
-    def __post_init__(self):
-        if abs(self.center) >= 1.0:
-            raise ValueError("center must lie in the open unit disc")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
+    __post_init__ = _check_center_and_ratio
 
     @property
     def euclidean_radius(self) -> float:
@@ -119,11 +135,7 @@ class TildeDisc:
     center: complex
     ratio: float
 
-    def __post_init__(self):
-        if abs(self.center) >= 1.0:
-            raise ValueError("center must lie in the open unit disc")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
+    __post_init__ = _check_center_and_ratio
 
     @property
     def bounding_radius(self) -> float:
@@ -159,6 +171,11 @@ def square_to_top_half_ratio(level: int) -> float:
     """Area ratio square/top-half at a level; lies in (2, 4], equal to 4 only at level 0."""
     h = 2.0 ** -level
     return 2.0 * (2.0 - h) / (2.0 - 1.5 * h)
+
+
+def row_areas(depth: int, area: Callable[[int], float] = top_half_area) -> np.ndarray:
+    """Per-row top-half areas of a level-major table (or ``area`` per level)."""
+    return np.concatenate([np.full(2 ** n, area(n)) for n in range(depth + 1)])
 
 
 def region_area(region: Region) -> float:
@@ -203,15 +220,10 @@ def contains(region: Region, z: complex) -> bool:
         raise ValueError("point must lie in the open unit disc")
     if isinstance(region, WholeDisc):
         return True
-    if isinstance(region, CarlesonSquare):
+    if isinstance(region, (CarlesonSquare, TopHalf)):
         n = region.index.level
-        if abs(z) < 1.0 - 2.0 ** -n:
-            return False
-        return _arc_position(_angle(z), n) == region.index.position
-    if isinstance(region, TopHalf):
-        n = region.index.level
-        r = abs(z)
-        if not (1.0 - 2.0 ** -n <= r < 1.0 - 2.0 ** -(n + 1)):
+        outer = 1.0 - 2.0 ** -(n + 1) if isinstance(region, TopHalf) else 1.0
+        if not 1.0 - 2.0 ** -n <= abs(z) < outer:
             return False
         return _arc_position(_angle(z), n) == region.index.position
     if isinstance(region, HyperbolicDisc):
@@ -255,17 +267,14 @@ class TopHalfPartition:
 def top_half_partition(max_depth: int) -> TopHalfPartition:
     """Tiling of the disc minus a boundary annulus by top halves.
 
-    Cells are listed level by level, position increasing, 2**(N+1) - 1 of
-    them in total; the residual annulus starts at radius 1 - 2**-(N+1).
+    Cells are listed in level-major order, cell i at row i, 2**(N+1) - 1
+    of them in total; the residual annulus starts at radius 1 - 2**-(N+1).
     """
     if not 0 <= max_depth <= MAX_LEVEL:
         raise ValueError(f"max_depth must be in [0, {MAX_LEVEL}]")
-    cells = tuple(
-        DyadicIndex(n, k) for n in range(max_depth + 1) for k in range(2 ** n)
-    )
     return TopHalfPartition(
         max_depth=max_depth,
-        cells=cells,
+        cells=tuple(map(row_index, range(2 ** (max_depth + 1) - 1))),
         residual_inner_radius=1.0 - 2.0 ** -(max_depth + 1),
     )
 

@@ -30,10 +30,10 @@ from .analytic import (
     growth_exponent,
     necessity_lower_bound,
 )
-from .disc_geometry import carleson_square_area, top_half_area
+from .disc_geometry import carleson_square_area, level_rows, row_areas
 from .dyadic import dimension_sweep, dyadic_norm, equivalence_report
 from .errors import ScenarioError
-from .linalg import op_norm
+from .linalg import op_norms
 from .measures import carleson_intensity, measure_from_descriptor, partition_masses
 from .plotting import chart_from_report
 from .quadrature import constant_field, identity_field, radial_power_field
@@ -229,20 +229,16 @@ def _point(z: complex) -> list[float]:
 
 
 def _level_curve(masses) -> list[list[float]]:
-    squares = masses.square_masses()
+    """Per level, the largest square and cell ratio ||mass|| / area."""
+    depth = masses.depth
+    squares = op_norms(masses.square_masses()) / row_areas(depth, carleson_square_area)
+    cells = op_norms(masses.cells) / row_areas(depth)
     rows = []
-    for level in range(masses.depth + 1):
-        sq = max(
-            op_norm(squares[i]) / carleson_square_area(level)
-            for i in sorted(squares)
-            if i.level == level
-        )
-        cell = max(
-            op_norm(masses.cells[i]) / top_half_area(level)
-            for i in sorted(masses.cells)
-            if i.level == level
-        )
-        rows.append([float(level), sq, cell])
+    for level in range(depth + 1):
+        sq, cell = squares[level_rows(level)], cells[level_rows(level)]
+        # argmax keeps the first maximum, so equal values (and signed zeros)
+        # resolve to the smallest position
+        rows.append([float(level), float(sq[sq.argmax()]), float(cell[cell.argmax()])])
     return rows
 
 
@@ -314,8 +310,8 @@ def _run_dyadic_norm(s: Mapping, threads) -> dict:
 
 def _run_equivalence(s: Mapping, threads) -> dict:
     mu = _measure_or_error(s["measure"])
-    rep = equivalence_report(mu, s["depth"], tol=s["tol"], seed=s["seed"])
     masses = partition_masses(mu, s["depth"], tol=s["tol"])
+    rep = equivalence_report(mu, s["depth"], tol=s["tol"], seed=s["seed"], masses=masses)
     report = _base_report("equivalence", s)
     report["results"] = {
         "norm_b_squared": rep.norm_b_squared,
@@ -373,15 +369,14 @@ def _run_sweep(s: Mapping, threads) -> dict:
 def _run_b2(s: Mapping, threads) -> dict:
     weight = _weight_or_error(s["weight"])
     eta = s.get("eta", 0.0)
-    h_grid = tuple(s["h_grid"]) if "h_grid" in s else None
-    sup = b2_constant(
-        weight, eta=eta, h_grid=h_grid, tol=s["tol"], workers=threads
-    )
-    hs = h_grid if h_grid is not None else default_h_grid()
+    hs = tuple(s["h_grid"]) if "h_grid" in s else default_h_grid()
+    # each row is the maximum over its own squares, so the first maximum
+    # of the rows is the grid supremum
     rows = [
         [h, b2_constant(weight, eta=eta, h_grid=(h,), tol=s["tol"], workers=threads)]
         for h in hs
     ]
+    sup = max(value for _, value in rows)
     report = _base_report("b2", s)
     report["results"] = {
         "b2_sup": sup,

@@ -19,30 +19,41 @@ PSD_FLOOR = 1e-12
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian matrix in the Frobenius sense."""
+    """Nearest Hermitian matrix (m^H + m) / 2 per matrix, formed in one copy."""
     m = np.asarray(matrix)
-    return 0.5 * (m + m.conj().T)
+    h = np.conj(m.swapaxes(-1, -2), order="C", dtype=np.result_type(m, 0.5))
+    h += m
+    h *= 0.5
+    return h
+
+
+def op_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator (spectral) norms of a stack of square matrices, shape (n, d, d).
+
+    Exactly Hermitian matrices take one stacked ``eigvalsh`` (the identity
+    gives 1.0 exactly) and max(top, -bottom) of their eigenvalues, top
+    winning a tie so signed zeros stay; the others take the top singular value.
+    """
+    s = np.asarray(stack)
+    t = s.swapaxes(-1, -2)
+    # s == conj(t) part by part, without a conjugated copy of the stack
+    hermitian = np.all((s.real == t.real) & (s.imag == -t.imag), axis=(-2, -1))
+    if hermitian.all():
+        vals = np.linalg.eigvalsh(s)
+        top, low = vals[:, -1], -vals[:, 0]
+        return np.where(low > top, low, top)
+    norms = np.empty(len(s))
+    norms[hermitian] = op_norms(s[hermitian])
+    norms[~hermitian] = np.linalg.svd(s[~hermitian], compute_uv=False)[:, 0]
+    return norms
 
 
 def op_norm(matrix: np.ndarray) -> float:
-    """Operator (spectral) norm.
-
-    Exactly Hermitian input goes through ``eigvalsh``, which maps the
-    identity to eigenvalue 1.0 with no rounding; anything else falls
-    back to the largest singular value.
-    """
+    """Operator (spectral) norm of one matrix; see :func:`op_norms`."""
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("operator norm needs a square matrix")
-    if np.array_equal(m, m.conj().T):
-        vals = np.linalg.eigvalsh(m)
-        return float(max(vals[-1], -vals[0]))
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def lambda_max(matrix: np.ndarray) -> float:
-    """Largest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(hermitize(matrix))[-1])
+    return float(op_norms(m[None])[0])
 
 
 def assert_psd(matrix: np.ndarray, label: str = "matrix") -> np.ndarray:

@@ -6,32 +6,33 @@ region masses, the exact masses of all dyadic top halves and Carleson
 squares down to a chosen depth, and the two Carleson-type intensities
 (over squares, and over top halves).
 
-Square masses are assembled bottom-up from the top-half partition plus
-one boundary sliver per deepest arc, so they are exact relative to the
-computed cell masses: no region is ever integrated twice and the
-partition additivity identity holds to roundoff.
+Tables are level-major arrays: top half (n, k) sits at row
+``DyadicIndex(n, k).row``.  Square masses are assembled bottom-up from
+the top-half partition plus one boundary sliver per deepest arc, so they
+are exact relative to the computed cell masses: no region is ever
+integrated twice and the partition additivity identity holds to roundoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .disc_geometry import (
-    CarlesonSquare,
     DyadicIndex,
     Region,
     TopHalf,
     carleson_square_area,
     contains,
+    level_rows,
     locate_top_half,
-    top_half_area,
-    top_half_partition,
+    row_areas,
+    row_index,
 )
-from .linalg import assert_psd, hermitize, op_norm
+from .linalg import assert_psd, hermitize, op_norm, op_norms
 from .quadrature import (
     DEFAULT_BUDGET,
     DEFAULT_TOL,
@@ -149,42 +150,43 @@ def measure_of(
 class PartitionMasses:
     """Masses of every top-half cell to a depth, plus boundary slivers.
 
-    ``slivers[k]`` holds the mass of the annulus 1 - 2**-(depth+1) <=
-    |z| < 1 over the level-``depth`` arc k.  Cells and slivers together
-    tile the disc, so their total is the full mass of the measure.
+    ``cells[T.row]`` holds the mass of top half T, shape
+    (2**(depth+1) - 1, d, d); ``slivers[k]`` holds the mass of the annulus
+    1 - 2**-(depth+1) <= |z| < 1 over the level-``depth`` arc k, shape
+    (2**depth, d, d).  Cells and slivers together tile the disc, so their
+    total is the full mass of the measure.
     """
 
     dimension: int
     depth: int
-    cells: Mapping[DyadicIndex, np.ndarray]
-    slivers: Mapping[DyadicIndex, np.ndarray]
+    cells: np.ndarray
+    slivers: np.ndarray
 
     @property
     def residual_matrix(self) -> np.ndarray:
         total = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for key in sorted(self.slivers):
-            total = total + self.slivers[key]
+        for sliver in self.slivers:
+            total = total + sliver
         return total
 
     @property
     def residual_norm(self) -> float:
         return op_norm(self.residual_matrix)
 
-    def square_masses(self) -> dict[DyadicIndex, np.ndarray]:
-        """Exact mass of every Carleson square with level <= depth.
+    def square_masses(self) -> np.ndarray:
+        """Exact mass of every Carleson square with level <= depth, in the
+        rows of ``cells``.
 
         Assembled bottom-up: a deepest square is its top half plus its
-        sliver; shallower squares add their two child squares.
+        sliver; shallower squares add their left, then right child square.
         """
-        squares: dict[DyadicIndex, np.ndarray] = {}
-        for k in range(2 ** self.depth):
-            idx = DyadicIndex(self.depth, k)
-            squares[idx] = self.cells[idx] + self.slivers[idx]
+        squares = np.empty_like(self.cells)
+        deepest = level_rows(self.depth)
+        np.add(self.cells[deepest], self.slivers, out=squares[deepest])
         for level in range(self.depth - 1, -1, -1):
-            for k in range(2 ** level):
-                idx = DyadicIndex(level, k)
-                left, right = idx.children()
-                squares[idx] = self.cells[idx] + squares[left] + squares[right]
+            rows, below = level_rows(level), squares[level_rows(level + 1)]
+            np.add(self.cells[rows], below[0::2], out=squares[rows])
+            np.add(squares[rows], below[1::2], out=squares[rows])
         return squares
 
 
@@ -197,44 +199,37 @@ def partition_masses(
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     d = mu.dimension
-    zero = np.zeros((d, d), dtype=complex)
-    cells = {idx: zero for idx in top_half_partition(depth).cells}
-    slivers = {DyadicIndex(depth, k): zero for k in range(2 ** depth)}
+    cells = np.zeros((level_rows(depth).stop, d, d), dtype=complex)
+    slivers = np.zeros((2 ** depth, d, d), dtype=complex)
 
     for point, matrix in mu.atoms:
         idx = locate_top_half(point)
         if idx.level <= depth:
-            cells[idx] = cells[idx] + matrix
+            cells[idx.row] += matrix
         else:
             # atom beyond the partition: charge the sliver under its arc
-            ancestor = DyadicIndex(depth, idx.position >> (idx.level - depth))
-            slivers[ancestor] = slivers[ancestor] + matrix
+            slivers[idx.position >> (idx.level - depth)] += matrix
 
     if mu.density is not None:
         inner_radius = 1.0 - 2.0 ** -(depth + 1)
         if mu.density.radial:
             # one band integral per level, shared by all cells of the level
             for level in range(depth + 1):
-                band = integrate(
+                cells[level_rows(level)] += integrate(
                     mu.density, TopHalf(DyadicIndex(level, 0)), PLAIN,
                     tol=tol, budget=budget,
                 )
-                for k in range(2 ** level):
-                    idx = DyadicIndex(level, k)
-                    cells[idx] = cells[idx] + band
-            sliver_band = integrate_annulus(
+            slivers += integrate_annulus(
                 mu.density, inner_radius, 1.0, PLAIN, tol=tol, budget=budget
             ) * 2.0 ** -depth
-            for key in slivers:
-                slivers[key] = slivers[key] + sliver_band
         else:
-            for idx in sorted(cells):
-                cells[idx] = cells[idx] + integrate(
-                    mu.density, TopHalf(idx), PLAIN, tol=tol, budget=budget
+            for row in range(len(cells)):
+                cells[row] += integrate(
+                    mu.density, TopHalf(row_index(row)), PLAIN, tol=tol, budget=budget
                 )
-            for key in sorted(slivers):
-                lo, hi = key.theta_bounds()
-                slivers[key] = slivers[key] + integrate_polar_rect(
+            for k in range(len(slivers)):
+                lo, hi = DyadicIndex(depth, k).theta_bounds()
+                slivers[k] += integrate_polar_rect(
                     mu.density, inner_radius, 1.0, lo, hi, PLAIN,
                     tol=tol, budget=budget,
                 )
@@ -276,24 +271,15 @@ def carleson_intensity(
     elif masses.depth != max_depth:
         raise ValueError("precomputed masses were built for a different depth")
 
-    best_q = (-math.inf, None)
-    squares = masses.square_masses()
-    for idx in sorted(squares):
-        ratio = op_norm(squares[idx]) / carleson_square_area(idx.level)
-        if ratio > best_q[0]:
-            best_q = (ratio, idx)
-
-    best_t = (-math.inf, None)
-    for idx in sorted(masses.cells):
-        ratio = op_norm(masses.cells[idx]) / top_half_area(idx.level)
-        if ratio > best_t[0]:
-            best_t = (ratio, idx)
-
+    square_areas = row_areas(max_depth, carleson_square_area)
+    squares = op_norms(masses.square_masses()) / square_areas
+    cells = op_norms(masses.cells) / row_areas(max_depth)
+    best_q, best_t = int(np.argmax(squares)), int(np.argmax(cells))
     return IntensityReport(
-        intensity=best_q[0],
-        tophalf_intensity=best_t[0],
-        intensity_cell=best_q[1],
-        tophalf_cell=best_t[1],
+        intensity=float(squares[best_q]),
+        tophalf_intensity=float(cells[best_t]),
+        intensity_cell=row_index(best_q),
+        tophalf_cell=row_index(best_t),
         depth=max_depth,
         residual_norm=masses.residual_norm,
     )

@@ -18,8 +18,11 @@ from bergman_carleson.disc_geometry import (
     contains,
     dyadic_children,
     level_cells,
+    level_rows,
     locate_top_half,
     region_area,
+    row_areas,
+    row_index,
     square_to_top_half_ratio,
     top_half_area,
     top_half_cover,
@@ -185,6 +188,31 @@ class TestPartition:
         assert len(cells) == 8
         assert cells[0] == DyadicIndex(3, 0)
         assert cells[-1] == DyadicIndex(3, 7)
+
+
+class TestLevelMajorRows:
+    def test_rows_follow_the_partition_order(self):
+        cells = top_half_partition(5).cells
+        assert [idx.row for idx in cells] == list(range(len(cells)))
+        assert [row_index(row) for row in range(len(cells))] == list(cells)
+        assert DyadicIndex(3, 5).row == 12
+        assert row_index(np.int64(12)) == DyadicIndex(3, 5)
+        assert type(row_index(np.int64(12)).position) is int
+
+    def test_level_rows_slice_one_level(self):
+        cells = top_half_partition(4).cells
+        for level in range(5):
+            assert list(cells[level_rows(level)]) == list(level_cells(level))
+        assert level_rows(4).stop == len(cells)
+
+    def test_row_areas(self):
+        cells = top_half_partition(6).cells
+        tops = row_areas(6)
+        squares = row_areas(6, carleson_square_area)
+        assert tops.shape == squares.shape == (len(cells),)
+        for idx, top, square in zip(cells, tops, squares):
+            assert top == top_half_area(idx.level)
+            assert square == carleson_square_area(idx.level)
 
 
 class TestCover:

@@ -16,6 +16,7 @@ from bergman_carleson.dyadic import (
     norm_squared_mu,
 )
 from bergman_carleson.measures import (
+    MatrixMeasure,
     atom_measure,
     identity_density_measure,
     partition_masses,
@@ -133,6 +134,27 @@ class TestDyadicNorm:
         with pytest.raises(ValueError):
             dyadic_norm(mu, 4, masses=masses)
 
+    def test_argmax_tie_goes_to_smallest_cell(self):
+        # equal atoms in the level-2 arcs 3 and 1
+        mu = MatrixMeasure(
+            dimension=2,
+            atoms=((0.5 - 0.6j, np.eye(2)), (-0.5 + 0.6j, np.eye(2))),
+        )
+        result = dyadic_norm(mu, 4)
+        assert result.argmax_cell == DyadicIndex(2, 1)
+        assert result.closed_form == math.sqrt(1.0 / top_half_area(2))
+
+    def test_zero_norms_are_positive_zero(self):
+        # an atom in a cell leaves the slivers empty; an atom beyond the
+        # partition leaves every cell empty
+        inner = dyadic_norm(atom_measure(0.5, np.eye(1)), 6)
+        assert inner.residual_norm == 0.0
+        assert math.copysign(1.0, inner.residual_norm) == 1.0
+        outer = dyadic_norm(atom_measure(0.9999j, np.eye(1)), 6)
+        assert outer.closed_form == 0.0
+        assert math.copysign(1.0, outer.closed_form) == 1.0
+        assert outer.residual_norm == 1.0
+
 
 class TestEquivalenceReport:
     def test_origin_atom_ratio_four(self):
@@ -158,6 +180,13 @@ class TestEquivalenceReport:
             assert report.ratio_upper >= 1.0 - 1e-9
             assert report.ratio_upper <= 4.0 + 1e-9
             assert report.covering_slack >= -1e-9
+
+    def test_accepts_precomputed_masses(self):
+        mu = random_measure(dim=2, seed=7)
+        masses = partition_masses(mu, 5)
+        assert equivalence_report(mu, 5, masses=masses) == equivalence_report(mu, 5)
+        with pytest.raises(ValueError):
+            equivalence_report(mu, 6, masses=masses)
 
     def test_alpha_matches_norm_squared(self):
         # the closed form IS the top-half intensity, exactly

@@ -10,6 +10,8 @@ from bergman_carleson.disc_geometry import (
     DyadicIndex,
     TopHalf,
     WholeDisc,
+    carleson_square_area,
+    top_half_area,
 )
 from bergman_carleson.errors import NotPSDError
 from bergman_carleson.linalg import op_norm
@@ -80,7 +82,7 @@ class TestPartitionMasses:
         mu = random_measure(2, seed=5)
         masses = partition_masses(mu, depth=5)
         total = np.zeros((2, 2), dtype=complex)
-        for v in masses.cells.values():
+        for v in masses.cells:
             total = total + v
         total = total + masses.residual_matrix
         direct = measure_of(mu, WholeDisc())
@@ -91,7 +93,7 @@ class TestPartitionMasses:
         masses = partition_masses(mu, depth=4)
         squares = masses.square_masses()
         direct = measure_of(mu, WholeDisc())
-        assert np.allclose(squares[DyadicIndex(0, 0)], direct, atol=1e-8)
+        assert np.allclose(squares[DyadicIndex(0, 0).row], direct, atol=1e-8)
 
     def test_square_assembly_matches_direct_integral(self):
         # cross-check the bottom-up assembly against a direct region
@@ -101,12 +103,12 @@ class TestPartitionMasses:
         squares = masses.square_masses()
         idx = DyadicIndex(2, 1)
         direct = measure_of(mu, CarlesonSquare(idx))
-        assert np.allclose(squares[idx], direct, atol=1e-7)
+        assert np.allclose(squares[idx.row], direct, atol=1e-7)
 
     def test_deep_atom_lands_in_sliver(self):
         mu = atom_measure(0.999 + 0j, np.eye(1))
         masses = partition_masses(mu, depth=4)
-        assert all(op_norm(v) == 0.0 for v in masses.cells.values())
+        assert all(op_norm(v) == 0.0 for v in masses.cells)
         assert masses.residual_norm == 1.0
 
     def test_radial_and_generic_density_routes_agree(self):
@@ -119,10 +121,10 @@ class TestPartitionMasses:
         )
         a = partition_masses(mu, depth=3)
         b = partition_masses(generic, depth=3)
-        for idx in a.cells:
-            assert np.allclose(a.cells[idx], b.cells[idx], atol=1e-7)
-        for idx in a.slivers:
-            assert np.allclose(a.slivers[idx], b.slivers[idx], atol=1e-7)
+        for row in range(len(a.cells)):
+            assert np.allclose(a.cells[row], b.cells[row], atol=1e-7)
+        for k in range(len(a.slivers)):
+            assert np.allclose(a.slivers[k], b.slivers[k], atol=1e-7)
 
 
 class TestIntensity:
@@ -162,6 +164,19 @@ class TestIntensity:
         b = carleson_intensity(mu, 8).intensity
         assert a == pytest.approx(b, abs=1e-6)
 
+    def test_argmax_ties_go_to_smallest_cell(self):
+        # equal atoms in the level-2 arcs 1 and 3, listed in reverse order:
+        # every maximum is attained twice and must resolve to (2, 1)
+        mu = MatrixMeasure(
+            dimension=1,
+            atoms=((0.5 - 0.6j, np.eye(1)), (-0.5 + 0.6j, np.eye(1))),
+        )
+        report = carleson_intensity(mu, 4)
+        assert report.intensity_cell == DyadicIndex(2, 1)
+        assert report.tophalf_cell == DyadicIndex(2, 1)
+        assert report.intensity == 1.0 / carleson_square_area(2)
+        assert report.tophalf_intensity == 1.0 / top_half_area(2)
+
     def test_subadditivity_over_partition(self):
         # triangle inequality across the exact square assembly
         mu = random_measure(2, seed=17, num_atoms=5)
@@ -174,12 +189,12 @@ class TestIntensity:
                 stack = [idx]
                 while stack:
                     cur = stack.pop()
-                    bound += op_norm(masses.cells[cur])
+                    bound += op_norm(masses.cells[cur.row])
                     if cur.level < 6:
                         stack.extend(cur.children())
                     else:
-                        bound += op_norm(masses.slivers[cur])
-                assert op_norm(squares[idx]) <= bound + 1e-10
+                        bound += op_norm(masses.slivers[cur.position])
+                assert op_norm(squares[idx.row]) <= bound + 1e-10
 
 
 class TestUnitaryInvariance:
