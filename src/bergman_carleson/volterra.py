@@ -6,7 +6,8 @@ and watches the norm against the distance to the boundary.  The
 companion integral form replaces the pointwise norm by a disc average;
 mean-value subharmonicity makes the pointwise form controlled by the
 integral one with constant 1/ratio**2, and that inequality is checked,
-not assumed.
+not assumed.  Both forms read the same weight average at each grid
+point, and the consistency check computes each average once.
 """
 
 from __future__ import annotations
@@ -51,6 +52,44 @@ def _derivative_fn(symbol) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
     raise TypeError(f"cannot differentiate {type(symbol).__name__}")
 
 
+def _grid_and_derivative(symbol, weight, ratio, lambda_grid):
+    """The grid (default for the ratio), the symbol dimension and its
+    derivative, after the checks every form of the criterion shares."""
+    if lambda_grid is None:
+        lambda_grid = default_lambda_grid(ratio)
+    if not lambda_grid:
+        raise ValueError("lambda grid must be nonempty")
+    dim, deriv = _derivative_fn(symbol)
+    if getattr(weight, "dim", dim) != dim:
+        raise ValueError("weight and symbol dimensions differ")
+    return lambda_grid, dim, deriv
+
+
+def _pointwise_value(deriv, lam, avg) -> float:
+    conjugated = psd_sqrt(avg) @ deriv(np.array([lam]))[0] @ psd_inv_sqrt(avg)
+    return (1.0 - abs(lam)) * op_norm(conjugated)
+
+
+def _integral_value(deriv, dim, lam, avg, ratio, tol, budget) -> float:
+    def fn(z):
+        g = deriv(z)
+        return np.einsum("mji,jk,mkl->mil", np.conj(g), avg, g)
+
+    disc = HyperbolicDisc(center=lam, ratio=ratio)
+    inner = integrate_values(fn, (dim, dim), disc, PLAIN, tol=tol, budget=budget)
+    inner = 0.5 * (inner + inner.conj().T)
+    return op_norm(sandwich(psd_inv_sqrt(avg), inner))
+
+
+def _grid_report(values) -> GridReport:
+    """Supremum of (lambda, value) pairs; ties go to the earliest point."""
+    best = (-math.inf, None)
+    for lam, value in values:
+        if value > best[0]:
+            best = (value, lam)
+    return GridReport(sup_value=best[0], argmax_point=best[1], values=tuple(values))
+
+
 def volterra_condition(
     symbol,
     weight,
@@ -67,23 +106,12 @@ def volterra_condition(
     taken against plain area, per the definition of the local mean.
     """
     del eta
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(ratio)
-    if not lambda_grid:
-        raise ValueError("lambda grid must be nonempty")
-    dim, deriv = _derivative_fn(symbol)
-    if getattr(weight, "dim", dim) != dim:
-        raise ValueError("weight and symbol dimensions differ")
+    grid, _, deriv = _grid_and_derivative(symbol, weight, ratio, lambda_grid)
     values = []
-    best = (-math.inf, None)
-    for lam in lambda_grid:
+    for lam in grid:
         avg = averaged_weight(weight, lam, ratio, tol=tol, budget=budget)
-        conjugated = psd_sqrt(avg) @ deriv(np.array([lam]))[0] @ psd_inv_sqrt(avg)
-        value = (1.0 - abs(lam)) * op_norm(conjugated)
-        values.append((lam, value))
-        if value > best[0]:
-            best = (value, lam)
-    return GridReport(sup_value=best[0], argmax_point=best[1], values=tuple(values))
+        values.append((lam, _pointwise_value(deriv, lam, avg)))
+    return _grid_report(values)
 
 
 def volterra_integral_condition(
@@ -96,30 +124,12 @@ def volterra_integral_condition(
 ) -> GridReport:
     """Integral form: disc average of the conjugated symbol derivative
     in the square mean, sup over the grid."""
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(ratio)
-    if not lambda_grid:
-        raise ValueError("lambda grid must be nonempty")
-    dim, deriv = _derivative_fn(symbol)
+    grid, dim, deriv = _grid_and_derivative(symbol, weight, ratio, lambda_grid)
     values = []
-    best = (-math.inf, None)
-    for lam in lambda_grid:
-        disc = HyperbolicDisc(center=lam, ratio=ratio)
+    for lam in grid:
         avg = averaged_weight(weight, lam, ratio, tol=tol, budget=budget)
-
-        def fn(z, avg=avg):
-            g = deriv(z)
-            return np.einsum("mji,jk,mkl->mil", np.conj(g), avg, g)
-
-        inner = integrate_values(
-            fn, (dim, dim), disc, PLAIN, tol=tol, budget=budget
-        )
-        inner = 0.5 * (inner + inner.conj().T)
-        value = op_norm(sandwich(psd_inv_sqrt(avg), inner))
-        values.append((lam, value))
-        if value > best[0]:
-            best = (value, lam)
-    return GridReport(sup_value=best[0], argmax_point=best[1], values=tuple(values))
+        values.append((lam, _integral_value(deriv, dim, lam, avg, ratio, tol, budget)))
+    return _grid_report(values)
 
 
 @dataclass(frozen=True)
@@ -150,13 +160,17 @@ def volterra_consistency(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> ConsistencyReport:
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(ratio)
-    pointwise = volterra_condition(
-        symbol, weight, ratio=ratio, lambda_grid=lambda_grid, tol=tol, budget=budget
+    """Both forms on one grid, from one weight average per grid point."""
+    grid, dim, deriv = _grid_and_derivative(symbol, weight, ratio, lambda_grid)
+    avgs = [averaged_weight(weight, lam, ratio, tol=tol, budget=budget) for lam in grid]
+    pointwise = _grid_report(
+        [(lam, _pointwise_value(deriv, lam, avg)) for lam, avg in zip(grid, avgs)]
     )
-    integral = volterra_integral_condition(
-        symbol, weight, ratio=ratio, lambda_grid=lambda_grid, tol=tol, budget=budget
+    integral = _grid_report(
+        [
+            (lam, _integral_value(deriv, dim, lam, avg, ratio, tol, budget))
+            for lam, avg in zip(grid, avgs)
+        ]
     )
     worst = 0.0
     for (lam, s), (_, i) in zip(pointwise.values, integral.values):

@@ -95,3 +95,33 @@ def test_report_subcommand_rejects_garbage(tmp_path):
     path = tmp_path / "report.json"
     path.write_text("[1, 2, 3]")
     assert cli.main(["report", "--input", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {
+            "version": 1,
+            "kind": "volterra",
+            "symbol": {"kind": "log", "dim": 2},
+            "weight": {"kind": "identity", "dim": 1},
+        },
+        {
+            "version": 1,
+            "kind": "b2",
+            "weight": {"kind": "scalar_power", "exponent": 0.5},
+            "h_grid": [1.0 + 5e-13],
+        },
+    ],
+    ids=["volterra-dimension-mismatch", "h-above-one"],
+)
+def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    out_root = tmp_path / "results"
+    rc = cli.main([scenario["kind"], "--scenario", str(path), "--out", str(out_root)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out_root.exists()

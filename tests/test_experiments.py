@@ -77,6 +77,13 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             load_scenario(path)
 
+    def test_h_grid_closed_at_one(self):
+        b2 = {"version": 1, "kind": "b2", "weight": {"kind": "identity", "dim": 1}}
+        assert validate_scenario(dict(b2, h_grid=[1.0, 0.5]))["h_grid"] == [1.0, 0.5]
+        for bad in (1.0 + 5e-13, 0.0, -0.5):
+            with pytest.raises(ScenarioError):
+                validate_scenario(dict(b2, h_grid=[0.5, bad]))
+
 
 class TestRunScenario:
     def test_equivalence_atom_report(self, tmp_path):

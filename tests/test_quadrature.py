@@ -22,9 +22,19 @@ from bergman_carleson.disc_geometry import (
 )
 from bergman_carleson.errors import ToleranceNotReached
 from bergman_carleson.quadrature import (
+    BATCH_ENTRIES,
+    DEFAULT_BUDGET,
+    GAUSS_ORDER,
     MatrixField,
     MeasureSpec,
     PLAIN,
+    _line,
+    _local_polar,
+    _local_polar_integrate,
+    _polar,
+    _rule,
+    _substituted_polar,
+    _tilde_edge,
     constant_field,
     identity_field,
     integrate,
@@ -294,3 +304,82 @@ class TestFieldConstructors:
             MatrixField(dim=0, evaluator=lambda z: z)
         with pytest.raises(ValueError):
             MatrixField(dim=1, evaluator=lambda z: z, singular_exponent=-1.5)
+
+
+def _smooth_matrix(z):
+    """A 2x2 complex matrix per point; no entry is a polynomial in z."""
+    z = np.asarray(z, dtype=complex)
+    rows = [[np.exp(z), np.sin(3.0 * z)], [np.conj(z) ** 3, np.abs(z) ** 2 + 1.0]]
+    return np.moveaxis(np.array(rows), -1, 0)
+
+
+RECTS = [(0.1, 0.3, 0.0, 0.5), (0.3, 0.55, 0.5, 1.7), (0.55, 0.9, 2.0, 3.1), (0.2, 0.4, 4.0, 6.2)]
+LOCAL_RECTS = [(0.0, 0.2, 0.0, 1.5), (0.2, 0.4, 1.5, 3.1), (0.1, 0.3, 3.1, 6.2)]
+BATCH_MAPS = {
+    "line": (_line, [(0.0, 0.25), (0.25, 0.6), (0.6, 0.95), (-0.5, 0.1)]),
+    "polar": (_polar(0.5), RECTS),
+    "substituted_polar": (_substituted_polar(-0.5, 2), RECTS),
+    "hyperbolic_local_polar": (_local_polar(0.0, 0.3 + 0.2j, np.ones_like), LOCAL_RECTS),
+    "tilde_local_polar": (
+        _local_polar(1.5, 0.5 + 0j, _tilde_edge(0.5 + 0j, 0.5)),
+        [(0.0, 0.5, 0.0, 1.5), (0.5, 1.0, 1.5, 3.1), (0.25, 1.0, 3.1, 6.2)],
+    ),
+}
+
+
+class TestBatchedPanels:
+    @pytest.mark.parametrize("name", sorted(BATCH_MAPS))
+    def test_stack_equals_each_box_alone(self, name):
+        nodes, boxes = BATCH_MAPS[name]
+        estimate = _rule(_smooth_matrix, (2, 2), nodes)
+        stacked, n = estimate(boxes, GAUSS_ORDER)
+        assert stacked.shape == (len(boxes), 2, 2)
+        per_panel = GAUSS_ORDER ** (len(boxes[0]) // 2)
+        assert n == len(boxes) * per_panel
+        for k, box in enumerate(boxes):
+            alone, m = estimate([box], GAUSS_ORDER)
+            assert m == per_panel
+            assert np.array_equal(stacked[k], alone[0])
+            for a, b in zip(stacked[k].ravel(), alone[0].ravel()):
+                assert float(a.real).hex() == float(b.real).hex()
+                assert float(a.imag).hex() == float(b.imag).hex()
+
+    def test_hyperbolic_disc_evaluation_counts(self):
+        # counts of the panel-at-a-time engine: the area converges on the
+        # 8 seeds (8 x 5 panels of 100 nodes), the Cauchy kernel after two
+        # refinements of 4 children with 4 children each
+        ones = lambda z: np.ones(z.shape[0])  # noqa: E731
+        region = HyperbolicDisc(0.5 + 0j, 0.5)
+        _, _, evals = _local_polar_integrate(ones, (), 0.0, region, 1e-8, DEFAULT_BUDGET)
+        assert evals == 4000
+        cauchy = lambda z: 1.0 / (1.0 - z)  # noqa: E731
+        region = HyperbolicDisc(0.3 + 0j, 0.8)
+        value, _, evals = _local_polar_integrate(cauchy, (), 0.0, region, 1e-8, DEFAULT_BUDGET)
+        assert evals == 8000
+        assert complex(value).real.hex() == "0x1.cac08312697b2p-2"
+
+    def _recorded_rows(self, dim):
+        rows = []
+
+        def evaluator(z):
+            rows.append(z.shape[0])
+            return np.broadcast_to(np.eye(dim, dtype=complex), (z.shape[0], dim, dim)).copy()
+
+        field = MatrixField(dim=dim, evaluator=evaluator)
+        value = integrate(field, HyperbolicDisc(0.5 + 0j, 0.5))
+        assert np.array_equal(value, np.eye(dim) * value[0, 0])
+        return rows
+
+    def test_wide_field_is_evaluated_one_panel_at_a_time(self):
+        rows = self._recorded_rows(64)
+        # one panel (100 nodes) already exceeds the cap at d = 64
+        assert 100 * 64 * 64 > BATCH_ENTRIES
+        assert rows == [100] * 40
+
+    def test_chunks_stay_under_the_cap(self):
+        rows = self._recorded_rows(8)
+        assert max(rows) * 8 * 8 <= BATCH_ENTRIES
+        assert sum(rows) == 4000 and len(rows) > 1
+
+    def test_converged_seeds_take_one_call_at_d2(self):
+        assert self._recorded_rows(2) == [4000]

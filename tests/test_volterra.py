@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bergman_carleson import volterra
 from bergman_carleson.analytic import OperatorPoly
 from bergman_carleson.volterra import (
     ConsistencyReport,
@@ -124,6 +125,30 @@ class TestConsistency:
         )
         assert report.theoretical_bound == 16.0
         assert report.satisfied
+
+
+    def test_one_average_per_grid_point(self, monkeypatch):
+        calls = []
+        original = volterra.averaged_weight
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        weight = DiagonalPowerWeight((0.5, -0.5))
+        grid = (0j, 0.5 + 0j, 0.3j, -0.75 + 0.1j)
+        monkeypatch.setattr(volterra, "averaged_weight", counted)
+        report = volterra_consistency(LogSymbol(2), weight, lambda_grid=grid)
+        assert calls == list(grid)
+        pointwise = volterra_condition(LogSymbol(2), weight, lambda_grid=grid)
+        integral = volterra_integral_condition(LogSymbol(2), weight, lambda_grid=grid)
+        assert report.pointwise == pointwise
+        assert report.integral == integral
+
+    def test_dimension_mismatch_rejected_by_every_form(self):
+        for form in (volterra_condition, volterra_integral_condition, volterra_consistency):
+            with pytest.raises(ValueError, match="dimensions differ"):
+                form(LogSymbol(2), IdentityWeight(1), lambda_grid=(0.5 + 0j,))
 
 
 class TestApplyVolterra:
