@@ -5,9 +5,10 @@ Two routes to the discrete embedding norm
 
 # The operator that averages a function over each dyadic cell has an
 # exactly computable norm against any matrix measure: the square root
-# of the largest normalized cell mass.  A seeded power iteration on the
-# stacked cell blocks must land on the same number without ever looking
-# at the closed form.  Their agreement is the workbench's main
+# of the largest normalized cell mass.  A seeded Lanczos recurrence on
+# the stacked cell blocks must land on the same number without ever
+# looking at the closed form.  (Its result field is still called
+# power_iteration, the name the report schema keeps.)  Their agreement is the workbench's main
 # cross-check, and the ratio between the norm squared and the square
 # intensity is pinned to the window [1, 4].
 
@@ -17,7 +18,7 @@ from bergman_carleson.dyadic import dimension_sweep, dyadic_norm, equivalence_re
 from bergman_carleson.measures import atom_measure, random_measure
 
 print("route comparison on seeded measures (depth 7)")
-print("seed  dim   closed form      power iter.      rel. gap   iters")
+print("seed  dim   closed form      Lanczos          rel. gap   iters")
 for seed in range(5):
     mu = random_measure(dim=4, seed=seed)
     r = dyadic_norm(mu, 7, seed=seed)

@@ -24,7 +24,8 @@ class DegenerateWeightError(ValueError):
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within its iteration budget."""
+    """The iterative second route of the dyadic norm (Lanczos, formerly
+    power iteration) did not converge within its iteration budget."""
 
     def __init__(self, message, last_value=None, iterations=None):
         super().__init__(message)

@@ -34,7 +34,6 @@ from .analytic import (
 from .disc_geometry import carleson_square_area, level_rows, row_areas
 from .dyadic import dimension_sweep, dyadic_norm, equivalence_report
 from .errors import ScenarioError
-from .linalg import op_norms
 from .measures import carleson_intensity, measure_from_descriptor, partition_masses
 from .plotting import chart_from_report
 from .quadrature import constant_field, identity_field, radial_power_field
@@ -48,16 +47,21 @@ from .weights import (
 
 SCENARIO_VERSION = 1
 REPORT_VERSION = 1
-KINDS = (
-    "intensity",
-    "dyadic-norm",
-    "equivalence",
-    "sweep",
-    "b2",
-    "embed",
-    "volterra",
-)
 OUTPUT_ENV_VAR = "BERGMAN_CARLESON_OUT"
+#: Top-level keys every kind accepts.
+COMMON_KEYS = frozenset({"version", "kind", "seed", "tol"})
+#: The experiment kinds and their further top-level keys: exactly those
+#: the kind's handler reads.
+KIND_KEYS = {
+    "intensity": frozenset({"measure", "depth"}),
+    "dyadic-norm": frozenset({"measure", "depth"}),
+    "equivalence": frozenset({"measure", "depth"}),
+    "sweep": frozenset({"template", "dims", "depth"}),
+    "b2": frozenset({"weight", "eta", "h_grid"}),
+    "embed": frozenset({"symbol", "weight", "eta", "order", "ratio", "gamma", "grid"}),
+    "volterra": frozenset({"symbol", "weight", "ratio", "grid"}),
+}
+KINDS = tuple(KIND_KEYS)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -115,6 +119,8 @@ def validate_scenario(raw) -> dict:
     )
     kind = scenario.get("kind")
     _require(kind in KINDS, f"unknown experiment kind {kind!r}")
+    unknown = sorted(str(key) for key in scenario.keys() - COMMON_KEYS - KIND_KEYS[kind])
+    _require(not unknown, f"unknown {kind} scenario keys: {', '.join(unknown)}")
     if "seed" in scenario:
         scenario["seed"] = _as_int(scenario["seed"], "seed", 0, 2**64 - 1)
     else:
@@ -233,8 +239,8 @@ def _point(z: complex) -> list[float]:
 def _level_curve(masses) -> list[list[float]]:
     """Per level, the largest square and cell ratio ||mass|| / area."""
     depth = masses.depth
-    squares = op_norms(masses.square_masses()) / row_areas(depth, carleson_square_area)
-    cells = op_norms(masses.cells) / row_areas(depth)
+    squares = masses.square_norms / row_areas(depth, carleson_square_area)
+    cells = masses.cell_norms / row_areas(depth)
     rows = []
     for level in range(depth + 1):
         sq, cell = squares[level_rows(level)], cells[level_rows(level)]
@@ -370,6 +376,10 @@ def _run_sweep(s: Mapping, threads) -> dict:
 
 def _run_b2(s: Mapping, threads) -> dict:
     weight = _weight_or_error(s["weight"])
+    try:
+        weight.inverse().field()
+    except ValueError as exc:
+        raise ScenarioError(f"weight inverse is not integrable: {exc}") from exc
     eta = s.get("eta", 0.0)
     hs = tuple(s["h_grid"]) if "h_grid" in s else default_h_grid()
     # each row is the maximum over its own squares, so the first maximum

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -146,6 +147,11 @@ def measure_of(
     return hermitize(total)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class PartitionMasses:
     """Masses of every top-half cell to a depth, plus boundary slivers.
@@ -155,12 +161,20 @@ class PartitionMasses:
     1 - 2**-(depth+1) <= |z| < 1 over the level-``depth`` arc k, shape
     (2**depth, d, d).  Cells and slivers together tile the disc, so their
     total is the full mass of the measure.
+
+    Both arrays are read-only, so the spectral norms derived from them
+    (``cell_norms``, ``square_norms``, ``residual_norm``) are solved once
+    per table and cached, read-only as well.
     """
 
     dimension: int
     depth: int
     cells: np.ndarray
     slivers: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.cells)
+        _read_only(self.slivers)
 
     @property
     def residual_matrix(self) -> np.ndarray:
@@ -169,9 +183,19 @@ class PartitionMasses:
             total = total + sliver
         return total
 
-    @property
+    @cached_property
     def residual_norm(self) -> float:
         return op_norm(self.residual_matrix)
+
+    @cached_property
+    def cell_norms(self) -> np.ndarray:
+        """Spectral norm of every cell mass, in the rows of ``cells``."""
+        return _read_only(op_norms(self.cells))
+
+    @cached_property
+    def square_norms(self) -> np.ndarray:
+        """Spectral norm of every Carleson square mass, in the rows of ``cells``."""
+        return _read_only(op_norms(self.square_masses()))
 
     def square_masses(self) -> np.ndarray:
         """Exact mass of every Carleson square with level <= depth, in the
@@ -271,9 +295,8 @@ def carleson_intensity(
     elif masses.depth != max_depth:
         raise ValueError("precomputed masses were built for a different depth")
 
-    square_areas = row_areas(max_depth, carleson_square_area)
-    squares = op_norms(masses.square_masses()) / square_areas
-    cells = op_norms(masses.cells) / row_areas(max_depth)
+    squares = masses.square_norms / row_areas(max_depth, carleson_square_area)
+    cells = masses.cell_norms / row_areas(max_depth)
     best_q, best_t = int(np.argmax(squares)), int(np.argmax(cells))
     return IntensityReport(
         intensity=float(squares[best_q]),
@@ -320,6 +343,8 @@ def random_measure(
     square masses faithful to the full ones and makes the two-sided
     intensity bracket testable at moderate depth.
     """
+    if dim < 1:
+        raise ValueError("dimension must be positive")
     lo, hi = annulus
     if not 0.0 <= lo < hi < 1.0:
         raise ValueError("annulus must satisfy 0 <= lo < hi < 1")

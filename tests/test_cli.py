@@ -112,8 +112,31 @@ def test_report_subcommand_rejects_garbage(tmp_path):
             "weight": {"kind": "scalar_power", "exponent": 0.5},
             "h_grid": [1.0 + 5e-13],
         },
+        {
+            "version": 1,
+            "kind": "b2",
+            "weight": {"kind": "scalar_power", "exponent": 1.5},
+        },
+        {
+            "version": 1,
+            "kind": "dyadic-norm",
+            "measure": {"kind": "random", "dim": 0, "seed": 0},
+            "seed": 0,
+        },
+        {
+            "version": 1,
+            "kind": "equivalence",
+            "measure": {"kind": "atom", "point": [0.96875, 0.0]},
+            "dept": 9,
+        },
     ],
-    ids=["volterra-dimension-mismatch", "h-above-one"],
+    ids=[
+        "volterra-dimension-mismatch",
+        "h-above-one",
+        "scalar-power-inverse-not-integrable",
+        "random-dim-zero",
+        "misspelt-depth",
+    ],
 )
 def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):
     path = tmp_path / "bad.yaml"
@@ -125,3 +148,25 @@ def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not out_root.exists()
+
+
+def test_near_tie_dyadic_norm_routes_agree(tmp_path, capsys):
+    scenario = {
+        "version": 1,
+        "kind": "dyadic-norm",
+        "measure": {
+            "kind": "atom",
+            "point": [0.6, 0.0],
+            "matrix": [[1.0, 0.0], [0.0, 1.0 - 1e-4]],
+        },
+        "depth": 6,
+        "seed": 0,
+    }
+    path = tmp_path / "tie.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    rc = cli.main(["dyadic-norm", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    run_dir = Path(capsys.readouterr().out.strip())
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["invariants"]["routes_agree"] is True
+    assert report["results"]["relative_gap"] < 1e-12

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bergman_carleson import dyadic
 from bergman_carleson.disc_geometry import DyadicIndex, top_half_area, top_half_partition
 from bergman_carleson.dyadic import (
     CellFunction,
@@ -15,6 +16,7 @@ from bergman_carleson.dyadic import (
     equivalence_report,
     norm_squared_mu,
 )
+from bergman_carleson.errors import PowerIterationError
 from bergman_carleson.measures import (
     MatrixMeasure,
     atom_measure,
@@ -154,6 +156,32 @@ class TestDyadicNorm:
         assert outer.closed_form == 0.0
         assert math.copysign(1.0, outer.closed_form) == 1.0
         assert outer.residual_norm == 1.0
+
+
+class TestSecondRoute:
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_near_tie_between_cells(self, eps):
+        # top eigenvalues 1/A(T_1) and (1 - eps)/A(T_1) in two level-1 cells
+        mu = MatrixMeasure(
+            dimension=2,
+            atoms=((0.6, np.eye(2)), (-0.6, np.diag([1.0, 1.0 - eps]))),
+        )
+        result = dyadic_norm(mu, 6)
+        assert result.relative_gap < 1e-12
+        assert result.closed_form == math.sqrt(1.0 / top_half_area(1))
+
+    def test_zero_table_gives_positive_zero(self):
+        result = dyadic_norm(MatrixMeasure(dimension=2), 4)
+        assert result.power_iteration == 0.0
+        assert math.copysign(1.0, result.power_iteration) == 1.0
+        assert result.relative_gap == 0.0
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(dyadic, "LANCZOS_BUDGET", 2)
+        with pytest.raises(PowerIterationError) as info:
+            dyadic_norm(random_measure(dim=3, seed=1), 5)
+        assert info.value.iterations == 2
+        assert info.value.last_value > 0.0
 
 
 class TestEquivalenceReport:

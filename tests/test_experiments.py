@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from bergman_carleson import cli, experiments
 from bergman_carleson.errors import ScenarioError
 from bergman_carleson.experiments import (
+    COMMON_KEYS,
+    KIND_KEYS,
     build_report,
     curves_csv,
     load_scenario,
@@ -20,6 +23,7 @@ EQUIVALENCE_ATOM = {
     "measure": {"kind": "atom", "point": [0.0, 0.0], "scale": 1.0, "dim": 1},
     "depth": 6,
 }
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestValidation:
@@ -83,6 +87,67 @@ class TestValidation:
         for bad in (1.0 + 5e-13, 0.0, -0.5):
             with pytest.raises(ScenarioError):
                 validate_scenario(dict(b2, h_grid=[0.5, bad]))
+
+    def test_unknown_key_rejected(self):
+        misspelt = {k: v for k, v in EQUIVALENCE_ATOM.items() if k != "depth"}
+        with pytest.raises(ScenarioError, match="dept"):
+            validate_scenario(dict(misspelt, dept=9))
+        with pytest.raises(ScenarioError, match="depth"):
+            validate_scenario({"version": 1, "kind": "b2", "weight": {"kind": "identity", "dim": 1}, "depth": 4})
+
+    def test_shipped_and_default_scenarios_validate(self):
+        paths = sorted(SCENARIO_DIR.glob("*.yaml"))
+        assert paths
+        for path in paths:
+            load_scenario(path)
+        for scenario in cli._DEFAULT_SCENARIOS.values():
+            validate_scenario(dict(scenario))
+
+
+class _ReadLog(dict):
+    """A scenario mapping that records every top-level key looked up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def test_handlers_read_only_allowed_keys():
+    # every optional key set, on inputs small enough to run fast
+    scenarios = [
+        dict(EQUIVALENCE_ATOM, kind=kind, depth=2)
+        for kind in ("intensity", "dyadic-norm", "equivalence")
+    ] + [
+        {"version": 1, "kind": "sweep", "template": {"kind": "identity_density", "dim": 1},
+         "dims": [1, 2], "depth": 2, "seed": 0},
+        {"version": 1, "kind": "b2", "weight": {"kind": "identity", "dim": 1},
+         "eta": 0.0, "h_grid": [1.0]},
+        {"version": 1, "kind": "embed", "symbol": {"kind": "identity", "dim": 1},
+         "weight": {"kind": "identity", "dim": 1}, "eta": 0.0, "order": 0, "ratio": 0.5,
+         "gamma": 1.0, "grid": {"max_level": 1, "angles": 1}},
+        {"version": 1, "kind": "volterra", "symbol": {"kind": "linear_identity", "dim": 1},
+         "weight": {"kind": "identity", "dim": 1}, "ratio": 0.5,
+         "grid": {"max_level": 1, "angles": 1}},
+    ]
+    assert sorted(s["kind"] for s in scenarios) == sorted(KIND_KEYS)
+    for scenario in scenarios:
+        logged = _ReadLog(validate_scenario(scenario))
+        experiments._HANDLERS[logged["kind"]](logged, None)
+        allowed = COMMON_KEYS | KIND_KEYS[logged["kind"]]
+        assert logged.read <= allowed, logged["kind"]
+        assert KIND_KEYS[logged["kind"]] <= logged.read, logged["kind"]
 
 
 class TestRunScenario:

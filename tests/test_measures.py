@@ -1,9 +1,13 @@
 """Matrix measures: region masses, partition tables, intensities."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from bergman_carleson import linalg
+from bergman_carleson.dyadic import equivalence_report
 
 from bergman_carleson.disc_geometry import (
     CarlesonSquare,
@@ -14,7 +18,8 @@ from bergman_carleson.disc_geometry import (
     top_half_area,
 )
 from bergman_carleson.errors import NotPSDError
-from bergman_carleson.linalg import op_norm
+from bergman_carleson.experiments import _level_curve
+from bergman_carleson.linalg import op_norm, op_norms
 from bergman_carleson.measures import (
     MatrixMeasure,
     atom_measure,
@@ -125,6 +130,45 @@ class TestPartitionMasses:
             assert np.allclose(a.cells[row], b.cells[row], atol=1e-7)
         for k in range(len(a.slivers)):
             assert np.allclose(a.slivers[k], b.slivers[k], atol=1e-7)
+
+
+class TestCachedNorms:
+    def test_cached_norms_match_direct_solves(self):
+        masses = partition_masses(random_measure(3, seed=8), depth=5)
+        for cached, direct in (
+            (masses.cell_norms, op_norms(masses.cells)),
+            (masses.square_norms, op_norms(masses.square_masses())),
+        ):
+            assert [float.hex(v) for v in cached] == [float.hex(v) for v in direct]
+        assert float.hex(masses.residual_norm) == float.hex(op_norm(masses.residual_matrix))
+
+    def test_one_solve_per_table_matrix(self, monkeypatch):
+        mu = random_measure(2, seed=5)
+        masses = partition_masses(mu, depth=5)
+        calls = []
+
+        def counted(stack):
+            calls.append(("cells" if stack is masses.cells else "other", len(stack)))
+            return op_norms(stack)
+
+        # every module-level binding, so op_norm's own call is counted too
+        for name, module in list(sys.modules.items()):
+            if name.startswith("bergman_carleson") and hasattr(module, "op_norms"):
+                monkeypatch.setattr(module, "op_norms", counted)
+        assert linalg.op_norms is counted
+        equivalence_report(mu, 5, masses=masses)
+        _level_curve(masses)
+        rows = len(masses.cells)
+        assert sorted(calls) == [("cells", rows), ("other", 1), ("other", rows)]
+
+    def test_tables_are_read_only(self):
+        masses = partition_masses(random_measure(2, seed=5), depth=3)
+        with pytest.raises(ValueError):
+            masses.cells[0] += np.eye(2)
+        with pytest.raises(ValueError):
+            masses.slivers[0] += np.eye(2)
+        with pytest.raises(ValueError):
+            masses.cell_norms[0] = 0.0
 
 
 class TestIntensity:
@@ -239,6 +283,10 @@ class TestDescriptors:
         )
         got = measure_of(mu, WholeDisc())
         assert got[0, 0].real == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+    def test_random_dimension_must_be_positive(self):
+        with pytest.raises(ValueError):
+            random_measure(0, seed=0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
