@@ -2,10 +2,10 @@
 
 Polynomials and reproducing-type kernels carry exact derivatives, so
 the only approximation anywhere in this module is the final quadrature.
-Against radially symmetric weights the angular integral kills all
-cross terms, which turns polynomial norms into short sums of
-one-dimensional power integrals and kernel norms into rapidly
-convergent coefficient series; both routes hold machine accuracy
+Against weights whose terms are radial powers (1-|z|)**s M, the angular
+integral kills all cross terms, which turns polynomial norms into short
+sums of beta moments and kernel norms into rapidly convergent
+coefficient series, one per term; both routes hold machine accuracy
 arbitrarily close to the boundary.  Everything else falls back to the
 adaptive two-dimensional engine with refinement hints around the
 kernel focus.
@@ -16,6 +16,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +31,6 @@ from .quadrature import (
     MeasureSpec,
     integrate,
     integrate_values,
-    radial_integral,
 )
 
 MAX_DEGREE = 256
@@ -254,17 +255,28 @@ def _kernel_series(power: float, lam_abs: float, q: float) -> float:
         k += 1
 
 
+def _power_terms(field: MatrixField):
+    """The (s, M) terms of a field that is a sum of radial powers, else None."""
+    if field.terms is None or any(callable(s) for s, _ in field.terms):
+        return None
+    return field.terms
+
+
 def _poly_quadratic_norm(
     f: VectorPoly, field: MatrixField, eta: float, tol: float, budget: int
 ) -> float:
+    terms = _power_terms(field)
+    if terms is None:
+        return _generic_quadratic_norm(f, field, eta, tol, budget)
     coeffs = f.coefficients
-    if field.pure_radial_power is not None:
-        s, matrix = field.pure_radial_power
+
+    def power_norm(s, matrix):
+        # cross terms vanish against a radial weight; 2*Beta(2k+2, q+1)
+        # via a rational recurrence, since quadrature would lose absolute
+        # accuracy on the sharply peaked high-k integrands
         q = eta + s
         if q <= -1.0:
             raise ValueError(f"radial power {q} is not integrable on the disc")
-        # 2*Beta(2k+2, q+1) via a rational recurrence; quadrature would
-        # lose absolute accuracy on the sharply peaked high-k integrands
         moment = 2.0 / ((q + 1.0) * (q + 2.0))
         total = 0.0
         for k in range(coeffs.shape[0]):
@@ -275,37 +287,27 @@ def _poly_quadratic_norm(
             x = 2.0 * k + 2.0
             moment *= x * (x + 1.0) / ((x + q + 1.0) * (x + q + 2.0))
         return total
-    if field.radial:
-        # cross terms vanish against a radial weight, one 1-D integral
-        # per surviving power
-        total = 0.0
-        for k in range(coeffs.shape[0]):
-            c = coeffs[k]
-            if not np.any(c):
-                continue
 
-            def fn(r, k=k, c=c):
-                w = field.evaluator(r.astype(complex))
-                form = np.real(np.einsum("i,mij,j->m", np.conj(c), w, c))
-                return 2.0 * r ** (2 * k + 1) * form
-
-            total += (eta + 1.0) * float(
-                radial_integral(fn, 0.0, 1.0, q=eta, tol=tol, budget=budget)
-            )
-        return total
-    return _generic_quadratic_norm(f, field, eta, tol, budget)
+    return reduce(add, (power_norm(s, matrix) for s, matrix in terms))
 
 
 def _kernel_quadratic_norm(
     f: KernelFunction, field: MatrixField, eta: float, tol: float, budget: int
 ) -> float:
-    if field.pure_radial_power is not None:
-        s, matrix = field.pure_radial_power
-        e = f.direction
-        form = float(np.real(np.vdot(e, matrix @ e)))
-        series = _kernel_series(f.power, abs(f.center), eta + s)
-        return abs(f.scalar_coefficient) ** 2 * form * (eta + 1.0) * series
-    return _generic_quadratic_norm(f, field, eta, tol, budget)
+    terms = _power_terms(field)
+    if terms is None:
+        return _generic_quadratic_norm(f, field, eta, tol, budget)
+    e = f.direction
+    return reduce(
+        add,
+        (
+            abs(f.scalar_coefficient) ** 2
+            * float(np.real(np.vdot(e, matrix @ e)))
+            * (eta + 1.0)
+            * _kernel_series(f.power, abs(f.center), eta + s)
+            for s, matrix in terms
+        ),
+    )
 
 
 def _generic_quadratic_norm(f, field: MatrixField, eta, tol, budget) -> float:
@@ -519,7 +521,8 @@ def necessity_lower_bound(
 
     Both sides are quadratic forms in the direction vector with a
     common scalar envelope, so the maximization is a generalized
-    eigenvalue problem between two small matrices.
+    eigenvalue problem between two small matrices.  Symbol and weight
+    must be sums of radial power terms, as every shipped one is.
     """
     if gamma <= problem.eta:
         raise ValueError("kernel exponent must exceed eta")
@@ -542,30 +545,20 @@ def _scalar_envelope_matrix(
     kernel: KernelFunction, field: MatrixField, eta: float, tol: float, budget: int
 ) -> np.ndarray:
     """Matrix of the quadratic form e -> squared norm of the kernel ray
-    in direction e; the direction factors out of the scalar envelope."""
-    if field.pure_radial_power is not None:
-        s, matrix = field.pure_radial_power
-        series = _kernel_series(kernel.power, abs(kernel.center), eta + s)
-        scale = abs(kernel.scalar_coefficient) ** 2 * (eta + 1.0) * series
-        return scale * matrix
-
-    def fn(z):
-        envelope = np.abs(kernel.scalar_part(z)) ** 2
-        return envelope[:, None, None] * field.evaluator(z)
-
-    rho = abs(kernel.center)
-    value = integrate_values(
-        fn,
-        (field.dim, field.dim),
-        WholeDisc(),
-        MeasureSpec(eta),
-        tol=tol,
-        budget=budget,
-        singular_exponent=field.singular_exponent,
-        radial_breaks=(rho, 0.5 * (1.0 + rho)),
-        angular_breaks=(cmath.phase(kernel.center) % TWO_PI,),
+    in direction e; the direction factors out of the scalar envelope,
+    one coefficient series per power term of the field."""
+    terms = _power_terms(field)
+    if terms is None:
+        raise ValueError("the kernel probe needs fields of radial power terms")
+    coefficient = abs(kernel.scalar_coefficient) ** 2 * (eta + 1.0)
+    return reduce(
+        add,
+        (
+            coefficient * _kernel_series(kernel.power, abs(kernel.center), eta + s)
+            * matrix
+            for s, matrix in terms
+        ),
     )
-    return 0.5 * (value + value.conj().T)
 
 
 def growth_exponent(points: Sequence[tuple[float, float]]) -> float:

@@ -2,8 +2,9 @@
 
 Each subcommand is one experiment kind with a built-in default
 scenario; pass --scenario to run a file instead, and flags to override
-individual fields.  Exit codes: 0 success, 1 invalid configuration,
-2 numerical degeneracy, 3 tolerance not reached.
+individual fields.  Exit codes: 0 success, 1 invalid configuration
+(a usage error included), 2 numerical degeneracy, 3 tolerance not
+reached.
 """
 
 from __future__ import annotations
@@ -76,8 +77,16 @@ _DEFAULT_SCENARIOS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the code of an invalid configuration."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bergman-carleson",
         description="Numerical workbench for vector measures on the unit disc.",
     )

@@ -34,16 +34,17 @@ from .analytic import (
 from .disc_geometry import carleson_square_area, level_rows, row_areas
 from .dyadic import dimension_sweep, dyadic_norm, equivalence_report
 from .errors import ScenarioError
-from .measures import carleson_intensity, measure_from_descriptor, partition_masses
+from .measures import (
+    _decode_matrix,
+    _descriptor_kind,
+    carleson_intensity,
+    measure_from_descriptor,
+    partition_masses,
+)
 from .plotting import chart_from_report
 from .quadrature import constant_field, identity_field, radial_power_field
 from .volterra import LogSymbol, volterra_consistency
-from .weights import (
-    _decode_matrix,
-    b2_constant,
-    default_h_grid,
-    weight_from_descriptor,
-)
+from .weights import b2_constant, default_h_grid, weight_from_descriptor
 
 SCENARIO_VERSION = 1
 REPORT_VERSION = 1
@@ -183,35 +184,38 @@ def validate_scenario(raw) -> dict:
     return scenario
 
 
+#: The keys each symbol descriptor kind reads, besides ``kind``.
+SYMBOL_KEYS = {
+    "identity": {"dim"}, "radial_power": {"exponent", "dim", "scale"}, "constant": {"matrix"}
+}
+VOLTERRA_SYMBOL_KEYS = {"linear_identity": {"dim"}, "log": {"dim"}, "poly": {"coefficients"}}
+
+
 def _symbol_field(desc: Mapping):
-    kind = desc.get("kind")
     try:
+        kind = _descriptor_kind(desc, SYMBOL_KEYS, "symbol")
         if kind == "identity":
             return identity_field(int(desc["dim"]))
         if kind == "radial_power":
             dim = int(desc.get("dim", 1))
             scale = float(desc.get("scale", 1.0))
             return radial_power_field(float(desc["exponent"]), scale * np.eye(dim))
-        if kind == "constant":
-            return constant_field(_decode_matrix(desc["matrix"]))
+        return constant_field(_decode_matrix(desc["matrix"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError(f"bad symbol descriptor: {exc}") from exc
-    raise ScenarioError(f"unknown symbol kind {kind!r}")
 
 
 def _volterra_symbol(desc: Mapping):
-    kind = desc.get("kind")
     try:
+        kind = _descriptor_kind(desc, VOLTERRA_SYMBOL_KEYS, "volterra symbol")
         if kind == "linear_identity":
             return OperatorPoly.linear_identity(int(desc.get("dim", 1)))
         if kind == "log":
             return LogSymbol(int(desc.get("dim", 1)))
-        if kind == "poly":
-            coeffs = np.stack([_decode_matrix(c) for c in desc["coefficients"]])
-            return OperatorPoly(dimension=coeffs.shape[1], coefficients=coeffs)
+        coeffs = np.stack([_decode_matrix(c) for c in desc["coefficients"]])
+        return OperatorPoly(dimension=coeffs.shape[1], coefficients=coeffs)
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError(f"bad volterra symbol descriptor: {exc}") from exc
-    raise ScenarioError(f"unknown volterra symbol kind {kind!r}")
 
 
 def _measure_or_error(desc: Mapping):
@@ -348,6 +352,7 @@ def _run_equivalence(s: Mapping, threads) -> dict:
 
 
 def _run_sweep(s: Mapping, threads) -> dict:
+    _measure_or_error(s["template"])
     sweep = dimension_sweep(
         s["template"], s["dims"], s["depth"], seed=s["seed"], tol=s["tol"]
     )

@@ -47,6 +47,34 @@ from .quadrature import (
 )
 
 
+def _encode_matrix(m: np.ndarray) -> list:
+    """JSON-safe encoding: nested [real, imag] pairs."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _decode_matrix(raw) -> np.ndarray:
+    """Inverse of ``_encode_matrix``; plain nested real lists are read too."""
+    arr = np.asarray(raw, dtype=float)
+    if arr.ndim == 3:
+        return arr[..., 0] + 1j * arr[..., 1]
+    return np.asarray(raw, dtype=complex)
+
+
+def _descriptor_kind(desc: Mapping, kind_keys: Mapping, label: str) -> str:
+    """The kind of a descriptor, which must be a key of ``kind_keys``;
+    keys other than ``kind`` and those the kind reads raise ValueError,
+    so a misspelt option never falls back to its default silently."""
+    if not isinstance(desc, Mapping):
+        raise ValueError(f"a {label} descriptor must be a mapping")
+    kind = desc.get("kind")
+    if kind not in kind_keys:
+        raise ValueError(f"unknown {label} descriptor kind: {kind!r}")
+    unknown = sorted(str(key) for key in desc.keys() - kind_keys[kind] - {"kind"})
+    if unknown:
+        raise ValueError(f"unknown {kind} {label} keys: {', '.join(unknown)}")
+    return kind
+
+
 @dataclass(frozen=True)
 class MatrixMeasure:
     """Finite PSD atoms plus an optional PSD density field.
@@ -88,15 +116,14 @@ class MatrixMeasure:
 
 def atom_measure(point: complex, matrix: np.ndarray) -> MatrixMeasure:
     m = np.asarray(matrix, dtype=complex)
-    return MatrixMeasure(
-        dimension=m.shape[0],
-        atoms=((point, m),),
-        descriptor={
-            "kind": "atom",
-            "point": [float(np.real(point)), float(np.imag(point))],
-            "dim": int(m.shape[0]),
-        },
-    )
+    descriptor = {
+        "kind": "atom",
+        "point": [float(np.real(point)), float(np.imag(point))],
+        "dim": int(m.shape[0]),
+    }
+    if not np.array_equal(m, np.eye(m.shape[0])):
+        descriptor["matrix"] = _encode_matrix(m)
+    return MatrixMeasure(dimension=m.shape[0], atoms=((point, m),), descriptor=descriptor)
 
 
 def density_measure(field: MatrixField, descriptor: dict | None = None) -> MatrixMeasure:
@@ -109,9 +136,16 @@ def identity_density_measure(dim: int) -> MatrixMeasure:
     )
 
 
+def _map_terms(field: MatrixField, fn):
+    """The terms of a field with every matrix M replaced by fn(M)."""
+    if field.terms is None:
+        return None
+    return tuple((profile, fn(m)) for profile, m in field.terms)
+
+
 def conjugate_measure(mu: MatrixMeasure, unitary: np.ndarray) -> MatrixMeasure:
-    """Push a measure through a constant unitary: atoms and density map
-    M -> U M U*."""
+    """Push a measure through a constant unitary: atoms, density and its
+    terms map M -> U M U*."""
     u = np.asarray(unitary, dtype=complex)
     atoms = tuple((z, u @ m @ u.conj().T) for z, m in mu.atoms)
     density = None
@@ -125,7 +159,7 @@ def conjugate_measure(mu: MatrixMeasure, unitary: np.ndarray) -> MatrixMeasure:
             dim=inner.dim,
             evaluator=evaluator,
             singular_exponent=inner.singular_exponent,
-            radial=inner.radial,
+            terms=_map_terms(inner, lambda m: u @ m @ u.conj().T),
         )
     return MatrixMeasure(dimension=mu.dimension, atoms=atoms, density=density)
 
@@ -236,7 +270,7 @@ def partition_masses(
 
     if mu.density is not None:
         inner_radius = 1.0 - 2.0 ** -(depth + 1)
-        if mu.density.radial:
+        if mu.density.terms is not None:
             # one band integral per level, shared by all cells of the level
             for level in range(depth + 1):
                 cells[level_rows(level)] += integrate(
@@ -362,11 +396,13 @@ def random_measure(
         p = rng.uniform(0.0, 3.0)
         base = random_psd(dim, rng)
 
-        def evaluator(z: np.ndarray) -> np.ndarray:
-            prof = c0 + c1 * (1.0 - np.abs(z)) ** p
-            return prof[:, None, None] * base
+        def profile(r: np.ndarray) -> np.ndarray:
+            return c0 + c1 * (1.0 - r) ** p
 
-        density = MatrixField(dim=dim, evaluator=evaluator, radial=True)
+        def evaluator(z: np.ndarray) -> np.ndarray:
+            return profile(np.abs(z))[:, None, None] * base
+
+        density = MatrixField(dim=dim, evaluator=evaluator, terms=((profile, base),))
     return MatrixMeasure(
         dimension=dim,
         atoms=tuple(atoms),
@@ -410,7 +446,7 @@ def lift_scalar_measure(scalar: MatrixMeasure, dim: int, seed: int) -> MatrixMea
             dim=dim,
             evaluator=evaluator,
             singular_exponent=inner.singular_exponent,
-            radial=inner.radial,
+            terms=_map_terms(inner, lambda m: m[0, 0].real * projector),
         )
     return MatrixMeasure(
         dimension=dim,
@@ -425,23 +461,35 @@ def lift_scalar_measure(scalar: MatrixMeasure, dim: int, seed: int) -> MatrixMea
     )
 
 
+#: The keys each measure descriptor kind reads, besides ``kind``.
+MEASURE_KEYS = {
+    "identity_density": {"dim"},
+    "atom": {"point", "dim", "matrix", "scale"},
+    "radial_power_density": {"dim", "exponent", "scale"},
+    "random": {"dim", "seed", "num_atoms", "annulus", "with_density", "atom_scale"},
+    "lifted": {"dim", "seed", "template"},
+}
+
+
 def measure_from_descriptor(desc: Mapping) -> MatrixMeasure:
     """Rebuild a measure from a serializable record.
 
-    Known kinds: identity_density, atom (optionally scaled identity or
-    an explicit matrix), radial_power_density, random.
+    Known kinds and their keys: ``MEASURE_KEYS``.  An atom takes an
+    explicit matrix or a scaled identity; a lifted measure rebuilds its
+    one-dimensional template first.
     """
-    kind = desc.get("kind")
+    kind = _descriptor_kind(desc, MEASURE_KEYS, "measure")
     if kind == "identity_density":
         return identity_density_measure(int(desc["dim"]))
     if kind == "atom":
         re_part, im_part = desc["point"]
         point = complex(float(re_part), float(im_part))
-        dim = int(desc.get("dim", 1))
         if "matrix" in desc:
-            matrix = np.array(desc["matrix"], dtype=complex)
+            matrix = _decode_matrix(desc["matrix"])
+            if "scale" in desc or int(desc.get("dim", len(matrix))) != len(matrix):
+                raise ValueError("an atom matrix takes no scale and sets the dim")
         else:
-            matrix = np.eye(dim) * float(desc.get("scale", 1.0))
+            matrix = np.eye(int(desc.get("dim", 1))) * float(desc.get("scale", 1.0))
         return atom_measure(point, matrix)
     if kind == "radial_power_density":
         dim = int(desc.get("dim", 1))
@@ -449,13 +497,14 @@ def measure_from_descriptor(desc: Mapping) -> MatrixMeasure:
         scale = float(desc.get("scale", 1.0))
         field = radial_power_field(exponent, scale * np.eye(dim))
         return density_measure(field, descriptor=dict(desc))
-    if kind == "random":
-        return random_measure(
-            dim=int(desc["dim"]),
-            seed=int(desc.get("seed", 0)),
-            num_atoms=int(desc.get("num_atoms", 3)),
-            annulus=tuple(desc.get("annulus", (0.2, 0.9))),
-            with_density=bool(desc.get("with_density", True)),
-            atom_scale=float(desc.get("atom_scale", 1.0)),
-        )
-    raise ValueError(f"unknown measure descriptor kind: {kind!r}")
+    if kind == "lifted":
+        template = measure_from_descriptor(desc["template"])
+        return lift_scalar_measure(template, int(desc["dim"]), int(desc["seed"]))
+    return random_measure(
+        dim=int(desc["dim"]),
+        seed=int(desc.get("seed", 0)),
+        num_atoms=int(desc.get("num_atoms", 3)),
+        annulus=tuple(desc.get("annulus", (0.2, 0.9))),
+        with_density=bool(desc.get("with_density", True)),
+        atom_scale=float(desc.get("atom_scale", 1.0)),
+    )

@@ -12,6 +12,15 @@ along every axis until the summed indicators drop below
 ``tol * (1 + |result|)`` or the evaluation budget runs out, in which case
 :class:`ToleranceNotReached` carries the best estimate out.
 
+A field that carries ``terms``, a sum of radial profiles times constant
+matrices (see :class:`MatrixField`), takes one band route on the regions
+that are bands of radii times an arc: the whole disc, Carleson squares,
+top halves and annuli.  A power term's mass is taken in closed form and
+a function term's mass from the engine on its scalar profile over a
+segment; the result is the sum of mass times matrix, so the cost does
+not grow with the dimension and the evaluator is never called.  Every
+other region, and every field without terms, goes through the evaluator.
+
 The maps are polar rectangles (r, t) -> r e^{it} for the dyadic regions
 and annuli, local polar rectangles about the center of a HyperbolicDisc,
 and the exact TildeDisc map (t, phi) -> c + t s*(phi) e^{i phi} with
@@ -110,43 +119,36 @@ class MatrixField:
     ``evaluator`` takes a complex array of shape (m,) and returns values
     of shape (m, dim, dim).  ``singular_exponent`` declares boundary
     behavior like (1-|z|)**s so quadrature can pick the substituted
-    radial variable; ``radial`` marks fields depending on |z| alone,
-    unlocking one-dimensional fast paths.  ``pure_radial_power`` is set
-    by the library constructors when the field is exactly
-    (1-|z|)**s * M for a constant matrix M, in which case several
-    integrals reduce to power integrals handled without cancellation.
+    radial variable.
+
+    ``terms``, when present, writes the field as a radial sum
+    W(z) = sum_j phi_j(|z|) M_j of (profile, matrix) pairs: a profile is
+    an exponent s, meaning (1-r)**s, or a vectorized function of r.
+    Integrals over full bands of radii (the dyadic regions and annuli)
+    read the terms instead of the evaluator, see ``integrate``; every
+    other region reads the evaluator, which must agree with the terms.
     """
 
     dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     singular_exponent: float = 0.0
-    radial: bool = False
-    pure_radial_power: tuple[float, np.ndarray] | None = dataclass_field(
+    terms: tuple[tuple[float | Callable, np.ndarray], ...] | None = dataclass_field(
         default=None, compare=False
     )
-    #: Optional exact band integrator (r0, r1, spec, tol, budget) -> matrix
-    #: giving the full-annulus integral of the field against dA_eta.
-    #: Structured fields attach one so boundary powers are applied
-    #: analytically instead of through the cancellation-prone 1-|z|.
-    radial_band: Callable | None = dataclass_field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         if self.singular_exponent <= -1.0:
             raise ValueError("singular exponent must exceed -1 to be integrable")
-
-
-def _power_band(matrix: np.ndarray, exponent: float) -> Callable:
-    """Exact annulus integrator for (1-|z|)**exponent * M against dA_eta."""
-
-    def band(r0, r1, spec, tol, budget):
-        scale = (spec.eta + 1.0) * radial_integral(
-            lambda r: 2.0 * r, r0, r1, q=spec.eta + exponent, tol=tol, budget=budget
-        )
-        return scale * matrix
-
-    return band
+        if self.terms is not None:
+            terms = tuple(
+                (p if callable(p) else float(p), np.asarray(m, dtype=complex))
+                for p, m in self.terms
+            )
+            if not terms or any(m.shape != (self.dim, self.dim) for _, m in terms):
+                raise ValueError("terms need square matrices of the field dimension")
+            object.__setattr__(self, "terms", terms)
 
 
 def constant_field(matrix: np.ndarray) -> MatrixField:
@@ -158,13 +160,7 @@ def constant_field(matrix: np.ndarray) -> MatrixField:
     def evaluator(z: np.ndarray) -> np.ndarray:
         return np.broadcast_to(m, (z.shape[0],) + m.shape).copy()
 
-    return MatrixField(
-        dim=m.shape[0],
-        evaluator=evaluator,
-        radial=True,
-        pure_radial_power=(0.0, m),
-        radial_band=_power_band(m, 0.0),
-    )
+    return MatrixField(dim=m.shape[0], evaluator=evaluator, terms=((0.0, m),))
 
 
 def identity_field(dim: int) -> MatrixField:
@@ -186,9 +182,7 @@ def radial_power_field(exponent: float, matrix: np.ndarray) -> MatrixField:
         dim=m.shape[0],
         evaluator=evaluator,
         singular_exponent=min(s, 0.0),
-        radial=True,
-        pure_radial_power=(s, m),
-        radial_band=_power_band(m, s),
+        terms=((s, m),),
     )
 
 
@@ -500,33 +494,56 @@ def radial_integral(
     return value if shape else complex(value).real
 
 
-def _radial_field_integral(
-    fn, shape, eta, singular_exponent, a, b, tol, budget, breaks=()
-):
-    """1-D path for radial fields: integral of fn(r) * w_eta(r) * 2r dr."""
+def _profile_mass(profile, eta, singular_exponent, a, b, tol, budget):
+    """Integral of profile(r) * w_eta(r) * 2r dr over [a, b]: the dA_eta
+    mass of a function term over the annulus a <= |z| < b."""
     q = eta + singular_exponent
     if q != 0.0 and b >= 1.0 - 1e-14:
         p = _power_substitution(q)
 
         def integrand(u):
             r = np.minimum(1.0 - u ** p, 1.0 - _BOUNDARY_CLAMP)
-            vals = np.asarray(fn(r.astype(complex)))
             w = (eta + 1.0) * p * u ** (p * (1.0 + eta) - 1.0) * 2.0 * r
-            return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
+            return profile(r) * w
 
-        segs = [(0.0, (1.0 - a) ** (1.0 / p))]
+        seg = (0.0, (1.0 - a) ** (1.0 / p))
     else:
 
         def integrand(r):
-            vals = np.asarray(fn(r.astype(complex)))
-            w = (eta + 1.0) * (1.0 - r) ** eta * 2.0 * r
-            return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
+            return profile(r) * ((eta + 1.0) * (1.0 - r) ** eta * 2.0 * r)
 
-        cuts = _cuts(a, b, breaks)
-        segs = list(zip(cuts[:-1], cuts[1:]))
-    estimate = _rule(integrand, shape, _line)
-    value, _, _ = _adapt(estimate, segs, tol, budget, GAUSS_ORDER)
+        seg = (a, b)
+    value, _, _ = _adapt(_rule(integrand, (), _line), [seg], tol, budget, GAUSS_ORDER)
     return value
+
+
+def _band(field, r0, r1, eta, tol, budget) -> np.ndarray:
+    """sum_j mass_j M_j over the terms of a field: its integral over the
+    annulus r0 <= |z| < r1 against dA_eta.
+
+    A power term (1-r)**s has the closed-form mass
+    (eta+1) * 2[u**(q+1)/(q+1) - u**(q+2)/(q+2)] from u = 1-r1 to
+    u = 1-r0, with q = eta+s; u is exact at dyadic radii, so no 1-|z| is
+    formed near the boundary.  A function term's mass comes from the
+    engine on its scalar profile, at the field's singular exponent.
+    """
+    total = np.zeros((field.dim, field.dim), dtype=complex)
+    for profile, matrix in field.terms:
+        if callable(profile):
+            mass = _profile_mass(
+                profile, eta, field.singular_exponent, r0, r1, tol, budget
+            )
+        else:
+            q = eta + profile
+            if not q > -1.0:
+                raise ValueError(f"radial power {q} is not integrable")
+
+            def primitive(u):
+                return u ** (q + 1.0) / (q + 1.0) - u ** (q + 2.0) / (q + 2.0)
+
+            mass = (eta + 1.0) * 2.0 * (primitive(1.0 - r0) - primitive(1.0 - r1))
+        total = total + mass * matrix
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +572,6 @@ def integrate_values(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     singular_exponent: float = 0.0,
-    radial: bool = False,
     radial_breaks: Sequence[float] = (),
     angular_breaks: Sequence[float] = (),
 ) -> np.ndarray:
@@ -568,13 +584,6 @@ def integrate_values(
     eta = spec.eta
     if isinstance(region, (WholeDisc, CarlesonSquare, TopHalf)):
         r0, r1, t0, t1 = _dyadic_bounds(region)
-        frac = (t1 - t0) / TWO_PI
-        if radial:
-            band = _radial_field_integral(
-                fn, shape, eta, singular_exponent, r0, r1, tol, budget,
-                breaks=radial_breaks,
-            )
-            return frac * band
         value, _, _ = _polar_rect_integrate(
             fn, shape, eta, singular_exponent, r0, r1, t0, t1, tol, budget,
             radial_breaks=radial_breaks, angular_breaks=angular_breaks,
@@ -599,21 +608,21 @@ def integrate(
 
     Returns a Hermitian matrix; positive semidefiniteness of the field
     survives up to roundoff because all quadrature weights are positive.
-    Fields carrying an exact band integrator use it on radially banded
-    regions, which sidesteps boundary cancellation entirely.
+    A field with terms takes the band route on the whole disc, Carleson
+    squares and top halves, which are bands of radii times an arc; every
+    other integral reads the evaluator.
     """
-    if field.radial_band is not None and isinstance(
+    if field.terms is not None and isinstance(
         region, (WholeDisc, CarlesonSquare, TopHalf)
     ):
         r0, r1, t0, t1 = _dyadic_bounds(region)
-        frac = (t1 - t0) / TWO_PI
-        value = frac * np.asarray(field.radial_band(r0, r1, spec, tol, budget))
-        return 0.5 * (value + value.conj().T)
-    value = integrate_values(
-        field.evaluator, (field.dim, field.dim), region, spec=spec, tol=tol,
-        budget=budget, singular_exponent=field.singular_exponent, radial=field.radial,
-        radial_breaks=radial_breaks, angular_breaks=angular_breaks,
-    )
+        value = (t1 - t0) / TWO_PI * _band(field, r0, r1, spec.eta, tol, budget)
+    else:
+        value = integrate_values(
+            field.evaluator, (field.dim, field.dim), region, spec=spec, tol=tol,
+            budget=budget, singular_exponent=field.singular_exponent,
+            radial_breaks=radial_breaks, angular_breaks=angular_breaks,
+        )
     return 0.5 * (value + value.conj().T)
 
 
@@ -624,14 +633,13 @@ def integrate_scalar(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     singular_exponent: float = 0.0,
-    radial: bool = False,
     radial_breaks: Sequence[float] = (),
     angular_breaks: Sequence[float] = (),
 ) -> float:
     """Scalar integral over a region against dA_eta; returns the real part."""
     value = integrate_values(
         fn, (), region, spec=spec, tol=tol, budget=budget,
-        singular_exponent=singular_exponent, radial=radial,
+        singular_exponent=singular_exponent,
         radial_breaks=radial_breaks, angular_breaks=angular_breaks,
     )
     return float(np.real(value))
@@ -672,24 +680,17 @@ def integrate_annulus(
 ) -> np.ndarray:
     """Matrix integral over the full annulus r0 <= |z| < r1.
 
-    Radial fields take the one-dimensional band route; others sweep the
-    whole angle through the 2-D engine.
+    A field with terms takes the band route; others sweep the whole
+    angle through the 2-D engine.
     """
     if not 0.0 <= r0 < r1 <= 1.0:
         raise ValueError("need 0 <= r0 < r1 <= 1")
-    shape = (field.dim, field.dim)
-    if field.radial_band is not None:
-        value = np.asarray(field.radial_band(r0, r1, spec, tol, budget))
-    elif field.radial:
-        value = _radial_field_integral(
-            field.evaluator, shape, spec.eta, field.singular_exponent,
-            r0, r1, tol, budget,
-        )
+    if field.terms is not None:
+        value = _band(field, r0, r1, spec.eta, tol, budget)
     else:
         value, _, _ = _polar_rect_integrate(
-            field.evaluator, shape, spec.eta, field.singular_exponent,
+            field.evaluator, (field.dim, field.dim), spec.eta, field.singular_exponent,
             r0, r1, 0.0, TWO_PI, tol, budget,
         )
-    value = np.asarray(value)
+        value = np.asarray(value)
     return 0.5 * (value + value.conj().T)
-

@@ -3,7 +3,8 @@
 A weight W assigns a positive invertible matrix to each point of the
 disc.  The families here (identity, scalar power times a constant PSD
 matrix, diagonal powers conjugated by a unitary, block composites) all
-have closed-form inverses, which the two-average checker needs.
+have closed-form inverses, which the two-average checker needs, and
+fields that are sums of radial power terms (see ``MatrixField``).
 
 ``b2_constant`` evaluates, over a grid of boundary squares
 S(h, theta) = {1-h < r < 1, |t-theta| < pi h}, the norm of
@@ -16,21 +17,21 @@ exactly 1 for the identity weight; it is the quantity whose blow-up as
 a power exponent approaches 1+eta the checker is meant to exhibit.
 
 Averages are always formed as a ratio of two integrals computed by the
-same panel engine, so constant weights average to themselves exactly.
+same route, so the identity weight averages to itself exactly.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .disc_geometry import HyperbolicDisc, TWO_PI
+from .disc_geometry import HyperbolicDisc
 from .errors import DegenerateWeightError
 from .linalg import PSD_FLOOR, hermitize, op_norm, psd_sqrt
+from .measures import _decode_matrix, _descriptor_kind, _encode_matrix, random_unitary
 from .quadrature import (
     DEFAULT_BUDGET,
     DEFAULT_TOL,
@@ -40,22 +41,8 @@ from .quadrature import (
     identity_field,
     integrate,
     integrate_annulus,
-    integrate_polar_rect,
-    radial_integral,
     radial_power_field,
 )
-
-
-def _encode_matrix(m: np.ndarray) -> list:
-    """JSON-safe encoding: nested [real, imag] pairs."""
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _decode_matrix(raw) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 3:
-        return arr[..., 0] + 1j * arr[..., 1]
-    return np.asarray(raw, dtype=complex)
 
 
 def _require_invertible_constant(matrix: np.ndarray, label: str) -> np.ndarray:
@@ -142,30 +129,16 @@ class DiagonalPowerWeight:
                 return profs[:, :, None] * np.eye(self.dim)
             return np.einsum("ab,mb,cb->mac", u, profs, u.conj())
 
-        def band(r0, r1, spec, tol, budget):
-            # per-component exact power integrals, then conjugate back
-            coeffs = np.array(
-                [
-                    (spec.eta + 1.0)
-                    * radial_integral(
-                        lambda r: 2.0 * r, r0, r1, q=spec.eta + a,
-                        tol=tol, budget=budget,
-                    )
-                    for a in self.exponents
-                ],
-                dtype=complex,
-            )
-            diag = np.diag(coeffs)
-            if u is None:
-                return diag
-            return u @ diag @ u.conj().T
-
+        # one term per eigen-direction: (1-|z|)**a_i times U e_i e_i* U*
+        basis = np.eye(self.dim, dtype=complex) if u is None else u
         return MatrixField(
             dim=self.dim,
             evaluator=evaluator,
             singular_exponent=min(0.0, min(self.exponents)),
-            radial=True,
-            radial_band=band,
+            terms=tuple(
+                (a, np.outer(basis[:, i], basis[:, i].conj()))
+                for i, a in enumerate(self.exponents)
+            ),
         )
 
     def inverse(self) -> "DiagonalPowerWeight":
@@ -185,7 +158,7 @@ class DiagonalPowerWeight:
 
 
 class BlockWeight:
-    """Direct sum of weights; inherits radial structure blockwise."""
+    """Direct sum of weights; its field has the terms of its blocks."""
 
     def __init__(self, blocks: Sequence):
         if not blocks:
@@ -204,21 +177,20 @@ class BlockWeight:
                 out[:, lo:hi, lo:hi] = f.evaluator(z)
             return out
 
-        band = None
-        if all(f.radial_band is not None for f in fields):
-
-            def band(r0, r1, spec, tol, budget):
-                out = np.zeros((dim, dim), dtype=complex)
-                for f, lo, hi in zip(fields, offsets[:-1], offsets[1:]):
-                    out[lo:hi, lo:hi] = f.radial_band(r0, r1, spec, tol, budget)
-                return out
+        terms = None
+        if all(f.terms is not None for f in fields):
+            terms = []
+            for f, lo, hi in zip(fields, offsets[:-1], offsets[1:]):
+                for profile, block in f.terms:
+                    matrix = np.zeros((dim, dim), dtype=complex)
+                    matrix[lo:hi, lo:hi] = block
+                    terms.append((profile, matrix))
 
         return MatrixField(
             dim=dim,
             evaluator=evaluator,
             singular_exponent=min(f.singular_exponent for f in fields),
-            radial=all(f.radial for f in fields),
-            radial_band=band,
+            terms=terms,
         )
 
     def inverse(self) -> "BlockWeight":
@@ -232,8 +204,17 @@ class BlockWeight:
         return {"kind": "block", "blocks": [b.descriptor for b in self.blocks]}
 
 
+#: The keys each weight descriptor kind reads, besides ``kind``.
+WEIGHT_KEYS = {
+    "identity": {"dim"},
+    "scalar_power": {"exponent", "dim", "matrix"},
+    "diagonal_power": {"exponents", "unitary", "seed"},
+    "block": {"blocks"},
+}
+
+
 def weight_from_descriptor(desc: Mapping):
-    kind = desc.get("kind")
+    kind = _descriptor_kind(desc, WEIGHT_KEYS, "weight")
     if kind == "identity":
         return IdentityWeight(int(desc["dim"]))
     if kind == "scalar_power":
@@ -248,15 +229,11 @@ def weight_from_descriptor(desc: Mapping):
         if "unitary" in desc:
             unitary = _decode_matrix(desc["unitary"])
         elif "seed" in desc:
-            from .measures import random_unitary
-
             unitary = random_unitary(len(desc["exponents"]), int(desc["seed"]))
         return DiagonalPowerWeight(
             [float(a) for a in desc["exponents"]], unitary=unitary
         )
-    if kind == "block":
-        return BlockWeight([weight_from_descriptor(b) for b in desc["blocks"]])
-    raise ValueError(f"unknown weight descriptor kind: {kind!r}")
+    return BlockWeight([weight_from_descriptor(b) for b in desc["blocks"]])
 
 
 # ---------------------------------------------------------------------------
@@ -298,34 +275,10 @@ def default_h_grid() -> tuple[float, ...]:
     return tuple(2.0 ** -j for j in range(11)) + (0.9, 0.75)
 
 
-def _theta_count(h: float) -> int:
-    return 2 ** max(0, round(math.log2(1.0 / h)))
-
-
-def _square_average(field_w, field_inv, dim, h, theta, spec, tol, budget, radial):
-    """Averages of W and W^{-1} over S(h, theta); shared denominators."""
-    if radial:
-        num_w = integrate_annulus(field_w, 1.0 - h, 1.0, spec, tol, budget)
-        num_inv = integrate_annulus(field_inv, 1.0 - h, 1.0, spec, tol, budget)
-        den = integrate_annulus(identity_field(dim), 1.0 - h, 1.0, spec, tol, budget)
-    else:
-        lo, hi = theta - math.pi * h, theta + math.pi * h
-        num_w = integrate_polar_rect(field_w, 1.0 - h, 1.0, lo, hi, spec, tol, budget)
-        num_inv = integrate_polar_rect(
-            field_inv, 1.0 - h, 1.0, lo, hi, spec, tol, budget
-        )
-        den = integrate_polar_rect(
-            identity_field(dim), 1.0 - h, 1.0, lo, hi, spec, tol, budget
-        )
-    mass = den[0, 0].real
-    return num_w / mass, num_inv / mass
-
-
 def b2_constant(
     weight,
     eta: float = 0.0,
     h_grid: Sequence[float] | None = None,
-    theta_grid: Sequence[float] | None = None,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     workers: int | None = None,
@@ -338,10 +291,10 @@ def b2_constant(
     (the two averages multiply to at least the identity in norm) and
     exactly 1 for the identity weight.
 
-    ``theta_grid`` overrides the per-h automatic grids (2**j equispaced
-    angles for h = 2**-j).  Radial weights are angle-independent and are
-    evaluated once per h.  Ties in the max go to the earliest grid
-    point, so results do not depend on ``workers``.
+    The weight must be radial, a field with terms: then every square
+    S(h, theta) has the averages of the annulus 1-h < |z| < 1, and one
+    value per h covers all angles.  Ties in the max go to the earliest
+    grid point, so results do not depend on ``workers``.
     """
     spec = MeasureSpec(eta)
     hs = tuple(h_grid) if h_grid is not None else default_h_grid()
@@ -352,32 +305,26 @@ def b2_constant(
             raise ValueError(f"square height {h} outside (0, 1]")
     field_w = weight.field()
     field_inv = weight.inverse().field()
-    radial = field_w.radial and field_inv.radial
+    if field_w.terms is None or field_inv.terms is None:
+        raise ValueError("b2_constant needs a radial weight: a field with terms")
 
-    jobs: list[tuple[float, float]] = []
-    for h in hs:
-        if theta_grid is not None:
-            thetas = tuple(float(t) for t in theta_grid)
-        else:
-            count = 1 if radial else _theta_count(h)
-            thetas = tuple(TWO_PI * i / count for i in range(count))
-        jobs.extend((h, t) for t in thetas)
-
-    def evaluate(job: tuple[float, float]) -> float:
-        h, theta = job
-        avg_w, avg_inv = _square_average(
-            field_w, field_inv, weight.dim, h, theta, spec, tol, budget, radial
+    def evaluate(h: float) -> float:
+        # averages over 1-h < |z| < 1, with one shared denominator
+        num_w, num_inv, den = (
+            integrate_annulus(f, 1.0 - h, 1.0, spec, tol, budget)
+            for f in (field_w, field_inv, identity_field(weight.dim))
         )
-        _require_nondegenerate(avg_w, f"average of W over S({h:g}, {theta:g})")
-        _require_nondegenerate(avg_inv, f"average of W^-1 over S({h:g}, {theta:g})")
+        avg_w, avg_inv = num_w / den[0, 0].real, num_inv / den[0, 0].real
+        _require_nondegenerate(avg_w, f"average of W over S({h:g})")
+        _require_nondegenerate(avg_inv, f"average of W^-1 over S({h:g})")
         root = psd_sqrt(avg_w)
         return op_norm(root @ avg_inv @ root)
 
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(evaluate, jobs))
+            values = list(pool.map(evaluate, hs))
     else:
-        values = [evaluate(job) for job in jobs]
+        values = [evaluate(h) for h in hs]
 
     best = values[0]
     for v in values[1:]:

@@ -21,15 +21,18 @@ from bergman_carleson.analytic import (
     necessity_lower_bound,
     seminorm2,
     weighted_norm2,
+    _generic_quadratic_norm,
+    _scalar_envelope_matrix,
 )
 from bergman_carleson.errors import DegenerateWeightError
 from bergman_carleson.quadrature import (
+    DEFAULT_BUDGET,
     MatrixField,
     constant_field,
     identity_field,
     radial_power_field,
 )
-from bergman_carleson.weights import IdentityWeight, ScalarPowerWeight
+from bergman_carleson.weights import IdentityWeight, ScalarPowerWeight, weight_from_descriptor
 
 
 def _e(dim, i=0):
@@ -143,6 +146,48 @@ class TestWeightedNorm:
         f = VectorPoly.monomial(1, _e(2))
         with pytest.raises(ValueError):
             weighted_norm2(f, IdentityWeight(3))
+
+
+TILTED = {"kind": "diagonal_power", "exponents": [0.5, -0.5], "seed": 11}
+
+
+class TestTiltedWeight:
+    """A weight of two power terms takes the closed forms term by term."""
+
+    def test_deep_kernel_norm(self):
+        # the 2-D route ran out of budget here
+        k = KernelFunction(center=1.0 - 2.0**-10, exponent=1.0, direction=np.array([0.6, 0.8j]))
+        value = weighted_norm2(k, weight_from_descriptor(TILTED))
+        assert math.isfinite(value) and value > 0.0
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            KernelFunction(center=0.5 + 0.2j, exponent=1.0, direction=np.array([0.6, 0.8j])),
+            VectorPoly(2, np.array([[1.0, 0.5j], [0.3, 2.0], [0.0, 1.0]])),
+        ],
+        ids=["kernel", "poly"],
+    )
+    def test_closed_forms_match_the_generic_route(self, f):
+        field = weight_from_descriptor(TILTED).field()
+        generic = _generic_quadratic_norm(f, field, 0.0, 1e-12, DEFAULT_BUDGET)
+        assert weighted_norm2(f, field) == pytest.approx(generic, rel=1e-10)
+
+    def test_envelope_matrix_matches_kernel_rays(self):
+        field = weight_from_descriptor(TILTED).field()
+        base = KernelFunction(center=0.5 + 0.2j, exponent=1.0, direction=_e(2))
+        envelope = _scalar_envelope_matrix(base, field, 0.0, 1e-12, DEFAULT_BUDGET)
+        for e in (_e(2), _e(2, 1), np.array([0.6, 0.8j])):
+            ray = KernelFunction(center=base.center, exponent=1.0, direction=e)
+            generic = _generic_quadratic_norm(ray, field, 0.0, 1e-12, DEFAULT_BUDGET)
+            assert np.real(np.vdot(e, envelope @ e)) == pytest.approx(generic, rel=1e-10)
+
+    def test_small_dictionary_sup(self):
+        problem = EmbeddingProblem(symbol=identity_field(2), weight=weight_from_descriptor(TILTED))
+        dictionary = default_dictionary(
+            2, 1.0, lambda_grid=[0.5, 1.0 - 2.0**-10], max_degree=4, num_random_directions=1
+        )
+        assert math.isfinite(dictionary_sup(problem, dictionary))
 
 
 class TestSeminorm:
@@ -299,6 +344,12 @@ class TestNecessityLowerBound:
         )
         with pytest.raises(ValueError):
             necessity_lower_bound(problem, gamma=0.5, lam=0.5)
+
+    def test_field_without_terms_rejected(self):
+        opaque = MatrixField(1, lambda z: np.ones((z.shape[0], 1, 1), dtype=complex))
+        problem = EmbeddingProblem(symbol=identity_field(1), weight=opaque)
+        with pytest.raises(ValueError, match="power terms"):
+            necessity_lower_bound(problem, gamma=1.0, lam=0.5)
 
     def test_matrix_weight_reduces_to_eigenproblem(self):
         weight = ScalarPowerWeight(0.0, np.diag([1.0, 4.0]))

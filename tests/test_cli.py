@@ -129,6 +129,29 @@ def test_report_subcommand_rejects_garbage(tmp_path):
             "measure": {"kind": "atom", "point": [0.96875, 0.0]},
             "dept": 9,
         },
+        {
+            "version": 1,
+            "kind": "intensity",
+            "measure": {"kind": "atom", "point": [0.5, 0.0], "scael": 2.0},
+        },
+        {
+            "version": 1,
+            "kind": "b2",
+            "weight": {"kind": "diagonal_power", "exponents": [0.5, -0.5], "sed": 11},
+        },
+        {
+            "version": 1,
+            "kind": "embed",
+            "symbol": {"kind": "radial_power", "exponent": -0.5, "sacle": 2.0},
+            "weight": {"kind": "identity", "dim": 1},
+        },
+        {
+            "version": 1,
+            "kind": "sweep",
+            "template": {"kind": "radial_power_density", "exponnent": 1.5},
+            "dims": [1, 2],
+            "seed": 0,
+        },
     ],
     ids=[
         "volterra-dimension-mismatch",
@@ -136,6 +159,10 @@ def test_report_subcommand_rejects_garbage(tmp_path):
         "scalar-power-inverse-not-integrable",
         "random-dim-zero",
         "misspelt-depth",
+        "misspelt-measure-key",
+        "misspelt-weight-key",
+        "misspelt-symbol-key",
+        "misspelt-template-key",
     ],
 )
 def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):
@@ -148,6 +175,17 @@ def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not out_root.exists()
+
+
+def test_usage_error_exits_one(capsys):
+    # exit 2 is numerical degeneracy; a bad command line is a bad configuration
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["b2", "--bogus"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["b2", "--help"])
+    assert exc.value.code == 0
 
 
 def test_near_tie_dyadic_norm_routes_agree(tmp_path, capsys):

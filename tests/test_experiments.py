@@ -10,12 +10,18 @@ from bergman_carleson.errors import ScenarioError
 from bergman_carleson.experiments import (
     COMMON_KEYS,
     KIND_KEYS,
+    SYMBOL_KEYS,
+    VOLTERRA_SYMBOL_KEYS,
+    _symbol_field,
+    _volterra_symbol,
     build_report,
     curves_csv,
     load_scenario,
     run_scenario,
     validate_scenario,
 )
+from bergman_carleson.measures import MEASURE_KEYS, measure_from_descriptor
+from bergman_carleson.weights import WEIGHT_KEYS, weight_from_descriptor
 
 EQUIVALENCE_ATOM = {
     "version": 1,
@@ -98,10 +104,46 @@ class TestValidation:
     def test_shipped_and_default_scenarios_validate(self):
         paths = sorted(SCENARIO_DIR.glob("*.yaml"))
         assert paths
-        for path in paths:
-            load_scenario(path)
+        scenarios = [load_scenario(path) for path in paths]
         for scenario in cli._DEFAULT_SCENARIOS.values():
-            validate_scenario(dict(scenario))
+            scenarios.append(validate_scenario(dict(scenario)))
+        # and every descriptor in them passes its builder's key check
+        for scenario in scenarios:
+            for key in ("measure", "template"):
+                if key in scenario:
+                    measure_from_descriptor(scenario[key])
+            if "weight" in scenario:
+                weight_from_descriptor(scenario["weight"])
+            if scenario["kind"] == "embed":
+                _symbol_field(scenario["symbol"])
+            if scenario["kind"] == "volterra":
+                _volterra_symbol(scenario["symbol"])
+
+    @pytest.mark.parametrize(
+        "build, desc",
+        [
+            (measure_from_descriptor, {"kind": "atom", "point": [0.5, 0.0], "scael": 2.0}),
+            (measure_from_descriptor, {"kind": "random", "dim": 1, "sed": 3}),
+            (measure_from_descriptor, {"kind": "atom", "point": [0.5, 0.0], "matrix": [[1.0]], "scale": 2.0}),
+            (weight_from_descriptor, {"kind": "scalar_power", "exponent": 0.5, "dimm": 2}),
+            (weight_from_descriptor, {"kind": "block", "blocks": [{"kind": "identity", "dim": 1, "x": 0}]}),
+        ],
+    )
+    def test_descriptor_typos_rejected(self, build, desc):
+        with pytest.raises(ValueError):
+            build(desc)
+
+    @pytest.mark.parametrize(
+        "build, desc",
+        [
+            (_symbol_field, {"kind": "radial_power", "exponent": -0.5, "sacle": 2.0}),
+            (_volterra_symbol, {"kind": "log", "dim": 1, "order": 2}),
+            (_volterra_symbol, {"kind": "nope"}),
+        ],
+    )
+    def test_symbol_typos_rejected(self, build, desc):
+        with pytest.raises(ScenarioError):
+            build(desc)
 
 
 class _ReadLog(dict):
@@ -122,6 +164,48 @@ class _ReadLog(dict):
     def __contains__(self, key):
         self.read.add(key)
         return super().__contains__(key)
+
+
+def test_descriptor_keys_are_what_the_builders_read():
+    # every key of every kind set in some example; the builders must read
+    # exactly the keys their table allows
+    u = [[1.0, 0.0], [0.0, 1.0]]
+    cases = [
+        (measure_from_descriptor, MEASURE_KEYS, [
+            {"kind": "identity_density", "dim": 1},
+            {"kind": "atom", "point": [0.5, 0.0], "dim": 1, "scale": 2.0},
+            {"kind": "atom", "point": [0.5, 0.0], "matrix": [[1.0]]},
+            {"kind": "radial_power_density", "exponent": 1.0, "dim": 1, "scale": 2.0},
+            {"kind": "random", "dim": 1, "seed": 1, "num_atoms": 1, "annulus": [0.2, 0.5],
+             "with_density": True, "atom_scale": 1.0},
+            {"kind": "lifted", "dim": 2, "seed": 1, "template": {"kind": "identity_density", "dim": 1}},
+        ]),
+        (weight_from_descriptor, WEIGHT_KEYS, [
+            {"kind": "identity", "dim": 1},
+            {"kind": "scalar_power", "exponent": 0.5, "dim": 2, "matrix": u},
+            {"kind": "diagonal_power", "exponents": [0.5, -0.5], "unitary": u},
+            {"kind": "diagonal_power", "exponents": [0.5, -0.5], "seed": 11},
+            {"kind": "block", "blocks": [{"kind": "identity", "dim": 1}]},
+        ]),
+        (_symbol_field, SYMBOL_KEYS, [
+            {"kind": "identity", "dim": 1},
+            {"kind": "radial_power", "exponent": -0.5, "dim": 1, "scale": 2.0},
+            {"kind": "constant", "matrix": u},
+        ]),
+        (_volterra_symbol, VOLTERRA_SYMBOL_KEYS, [
+            {"kind": "linear_identity", "dim": 1},
+            {"kind": "log", "dim": 1},
+            {"kind": "poly", "coefficients": [u, u]},
+        ]),
+    ]
+    for build, table, examples in cases:
+        read = {kind: set() for kind in table}
+        for desc in examples:
+            logged = _ReadLog(desc)
+            build(logged)
+            read[desc["kind"]] |= logged.read
+        for kind, keys in table.items():
+            assert read[kind] == set(keys) | {"kind"}, (build.__name__, kind)
 
 
 def test_handlers_read_only_allowed_keys():

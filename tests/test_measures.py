@@ -1,5 +1,6 @@
 """Matrix measures: region masses, partition tables, intensities."""
 
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from bergman_carleson.disc_geometry import (
     TopHalf,
     WholeDisc,
     carleson_square_area,
+    level_rows,
     top_half_area,
 )
 from bergman_carleson.errors import NotPSDError
@@ -120,9 +122,7 @@ class TestPartitionMasses:
         mu = random_measure(2, seed=3, num_atoms=0)
         generic = MatrixMeasure(
             dimension=2,
-            density=MatrixField(
-                dim=2, evaluator=mu.density.evaluator, radial=False
-            ),
+            density=MatrixField(dim=2, evaluator=mu.density.evaluator),
         )
         a = partition_masses(mu, depth=3)
         b = partition_masses(generic, depth=3)
@@ -130,6 +130,63 @@ class TestPartitionMasses:
             assert np.allclose(a.cells[row], b.cells[row], atol=1e-7)
         for k in range(len(a.slivers)):
             assert np.allclose(a.slivers[k], b.slivers[k], atol=1e-7)
+
+    def test_deep_power_density_masses_are_exact(self):
+        # (1-|z|)**2.87 to depth 9 against the closed form of a band,
+        # 2[u**(q+1)/(q+1) - u**(q+2)/(q+2)] between its ends in u = 1-|z|;
+        # a band quadrature with an absolute tolerance of 1e-8 missed the
+        # sliver by 0.48 and so the level-9 squares by 3.3e-2, relative
+        q, depth = 2.87, 9
+        mu = measure_from_descriptor({"kind": "radial_power_density", "exponent": q})
+        masses = partition_masses(mu, depth)
+
+        def primitive(u):
+            return u ** (q + 1.0) / (q + 1.0) - u ** (q + 2.0) / (q + 2.0)
+
+        squares = masses.square_masses()
+        for level in range(depth + 1):
+            u = 2.0**-level
+            cell = 2.0 * (primitive(u) - primitive(0.5 * u)) * u
+            rows = level_rows(level)
+            np.testing.assert_allclose(masses.cells[rows, 0, 0].real, cell, rtol=1e-13)
+            square = 2.0 * primitive(u) * u
+            np.testing.assert_allclose(squares[rows, 0, 0].real, square, rtol=1e-13)
+        sliver = 2.0 * primitive(2.0 ** -(depth + 1)) * 2.0**-depth
+        np.testing.assert_allclose(masses.slivers[:, 0, 0].real, sliver, rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            {"kind": "radial_power_density", "exponent": 1.5},
+            {"kind": "random", "dim": 1, "seed": 2},
+        ],
+        ids=["power-term", "function-term"],
+    )
+    def test_lifted_masses_never_evaluate_the_density(self, template):
+        # d = 64: the masses come from the terms, the scalar masses times
+        # the projector u u*, without one 64x64 value at a node
+        scalar = measure_from_descriptor(template)
+        lifted = lift_scalar_measure(scalar, 64, seed=3)
+
+        def refuse(z):
+            raise AssertionError("the density evaluator was called")
+
+        blind = MatrixMeasure(
+            dimension=64,
+            atoms=lifted.atoms,
+            density=dataclasses.replace(lifted.density, evaluator=refuse),
+        )
+        masses = partition_masses(blind, depth=6)
+        base = partition_masses(scalar, depth=6)
+        u = random_unitary(64, seed=3)[:, :1]
+        projector = u @ u.conj().T
+        if scalar.atoms:
+            # atoms and density add in another order in d = 1
+            np.testing.assert_allclose(masses.cells, base.cells * projector, rtol=1e-14)
+            np.testing.assert_allclose(masses.slivers, base.slivers * projector, rtol=1e-14)
+        else:
+            assert np.array_equal(masses.cells, base.cells * projector)
+            assert np.array_equal(masses.slivers, base.slivers * projector)
 
 
 class TestCachedNorms:
@@ -283,6 +340,28 @@ class TestDescriptors:
         )
         got = measure_of(mu, WholeDisc())
         assert got[0, 0].real == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+    def test_library_descriptors_roundtrip(self):
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        power = measure_from_descriptor({"kind": "radial_power_density", "exponent": 1.5})
+        z = np.array([0.2 + 0.1j, -0.5j, 0.9])
+        for mu in (
+            atom_measure(0.5 - 0.25j, np.eye(2)),
+            atom_measure(0.5 - 0.25j, g @ g.conj().T),
+            identity_density_measure(3),
+            power,
+            random_measure(2, seed=41, num_atoms=2),
+            lift_scalar_measure(power, 4, seed=7),
+            lift_scalar_measure(random_measure(1, seed=5), 3, seed=2),
+        ):
+            rebuilt = measure_from_descriptor(mu.descriptor)
+            assert rebuilt.descriptor == mu.descriptor
+            assert len(rebuilt.atoms) == len(mu.atoms)
+            for (z1, m1), (z2, m2) in zip(mu.atoms, rebuilt.atoms):
+                assert z1 == z2 and np.array_equal(m1, m2)
+            if mu.density is not None:
+                assert np.array_equal(rebuilt.density.evaluator(z), mu.density.evaluator(z))
 
     def test_random_dimension_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ Expected values below are classical: the dA_eta mass of the disc is
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -38,23 +39,26 @@ from bergman_carleson.quadrature import (
     constant_field,
     identity_field,
     integrate,
+    integrate_annulus,
     integrate_polar_rect,
     integrate_scalar,
     integrate_values,
     radial_integral,
+    radial_power_field,
 )
+from bergman_carleson.measures import random_measure
+from bergman_carleson.weights import weight_from_descriptor
 
 DISC = WholeDisc()
 
 
 def flat_field(dim=1):
-    """Constant identity declared non-radial, to force the 2-D engine."""
+    """Constant identity without terms, to force the 2-D engine."""
     return MatrixField(
         dim=dim,
         evaluator=lambda z: np.broadcast_to(
             np.eye(dim, dtype=complex), (z.shape[0], dim, dim)
         ).copy(),
-        radial=False,
     )
 
 
@@ -90,16 +94,100 @@ class TestSingularIntegrands:
         assert v[0, 0].real == pytest.approx(8.0 / 3.0, abs=1e-8)
 
     def test_inverse_sqrt_radial_route(self):
+        # one function term: the band route integrates the scalar profile
         f = MatrixField(
             dim=1,
             evaluator=lambda z: ((1.0 - np.abs(z)) ** -0.5)[:, None, None].astype(
                 complex
             ),
             singular_exponent=-0.5,
-            radial=True,
+            terms=((lambda r: (1.0 - r) ** -0.5, np.eye(1)),),
         )
         v = integrate(f, DISC)
         assert v[0, 0].real == pytest.approx(8.0 / 3.0, abs=1e-10)
+
+
+class TestBandRoute:
+    """Fields with terms on full bands of radii: closed-form power masses."""
+
+    M = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+
+    @staticmethod
+    def power_mass(s, eta, r0, r1):
+        # (eta+1) * 2[u**(q+1)/(q+1) - u**(q+2)/(q+2)] from u = 1-r1 to 1-r0
+        q = eta + s
+
+        def primitive(u):
+            return u ** (q + 1.0) / (q + 1.0) - u ** (q + 2.0) / (q + 2.0)
+
+        return (eta + 1.0) * 2.0 * (primitive(1.0 - r0) - primitive(1.0 - r1))
+
+    @pytest.mark.parametrize("s, eta", [(0.0, 0.0), (-0.5, 0.0), (2.87, 0.0), (0.5, -0.5), (-0.99, 1.0)])
+    def test_power_masses_match_the_formula(self, s, eta):
+        field = radial_power_field(s, self.M)
+        spec = MeasureSpec(eta)
+        for n in (0, 3, 9, 30):
+            got = integrate(field, TopHalf(DyadicIndex(n, n % 2)), spec)
+            mass = self.power_mass(s, eta, 1.0 - 2.0**-n, 1.0 - 2.0 ** -(n + 1))
+            np.testing.assert_allclose(got, mass * 2.0**-n * self.M, rtol=1e-14)
+            got = integrate(field, CarlesonSquare(DyadicIndex(n, n % 2)), spec)
+            mass = self.power_mass(s, eta, 1.0 - 2.0**-n, 1.0)
+            np.testing.assert_allclose(got, mass * 2.0**-n * self.M, rtol=1e-14)
+        got = integrate_annulus(field, 0.25, 0.75, spec)
+        np.testing.assert_allclose(got, self.power_mass(s, eta, 0.25, 0.75) * self.M, rtol=1e-14)
+
+    @pytest.mark.parametrize("s, eta", [(0.0, 0.0), (-0.5, 0.0), (2.87, 0.0), (0.5, -0.5), (-0.99, 1.0)])
+    def test_power_masses_match_radial_integral_on_the_disc(self, s, eta):
+        got = integrate(radial_power_field(s, self.M), DISC, MeasureSpec(eta))
+        mass = (eta + 1.0) * radial_integral(lambda r: 2.0 * r, 0.0, 1.0, q=eta + s, tol=1e-13)
+        np.testing.assert_allclose(got, mass * self.M, rtol=1e-12)
+
+    def test_power_masses_match_the_adaptive_engine(self):
+        # the same field without terms runs through the 2-D engine
+        field = radial_power_field(-0.5, self.M)
+        generic = dataclasses.replace(field, terms=None)
+        for region in (CarlesonSquare(DyadicIndex(3, 5)), TopHalf(DyadicIndex(2, 1)), DISC):
+            np.testing.assert_allclose(
+                integrate(field, region), integrate(generic, region, tol=1e-11), rtol=1e-9
+            )
+
+    def test_non_integrable_power_rejected(self):
+        field = radial_power_field(-0.75, np.eye(1))
+        with pytest.raises(ValueError):
+            integrate(field, DISC, MeasureSpec(-0.5))
+
+    def test_terms_must_match_the_dimension(self):
+        with pytest.raises(ValueError):
+            MatrixField(dim=2, evaluator=lambda z: z, terms=((0.0, np.eye(3)),))
+        with pytest.raises(ValueError):
+            MatrixField(dim=2, evaluator=lambda z: z, terms=())
+
+    @pytest.mark.parametrize("name", ["tilted-weight", "random-density"])
+    def test_evaluator_swap_keeps_terms_and_values(self, name):
+        # an instrumented copy, dataclasses.replace(field, evaluator=...),
+        # keeps the terms and so every integral bit for bit
+        if name == "tilted-weight":
+            field = weight_from_descriptor(
+                {"kind": "diagonal_power", "exponents": [0.5, -0.5], "seed": 11}
+            ).field()
+        else:
+            field = random_measure(2, seed=5).density
+        calls = []
+
+        def counted(z):
+            calls.append(z.shape[0])
+            return field.evaluator(z)
+
+        copy = dataclasses.replace(field, evaluator=counted)
+        for (p, m), (q, n) in zip(copy.terms, field.terms, strict=True):
+            assert p == q and m is n
+        for region in (DISC, TopHalf(DyadicIndex(4, 3)), CarlesonSquare(DyadicIndex(2, 0))):
+            assert np.array_equal(integrate(copy, region), integrate(field, region))
+        assert np.array_equal(integrate_annulus(copy, 0.5, 1.0), integrate_annulus(field, 0.5, 1.0))
+        assert not calls
+        region = HyperbolicDisc(0.5 + 0.25j, 0.5)
+        assert np.array_equal(integrate(copy, region), integrate(field, region))
+        assert calls
 
 
 class TestScalarAndVector:
@@ -293,7 +381,8 @@ class TestFieldConstructors:
         f = constant_field(np.diag([2.0, 3.0]))
         out = f.evaluator(np.zeros(5, dtype=complex))
         assert out.shape == (5, 2, 2)
-        assert f.radial and f.pure_radial_power is not None
+        ((s, m),) = f.terms
+        assert s == 0.0 and np.array_equal(m, np.diag([2.0, 3.0]))
 
     def test_constant_field_rejects_nonsquare(self):
         with pytest.raises(ValueError):

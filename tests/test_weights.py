@@ -1,5 +1,6 @@
 """Operator weights: averages over discs and squares, B2-type constants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -83,7 +84,7 @@ class TestB2Constant:
 
     def test_explicit_grids(self):
         w = ScalarPowerWeight(0.5)
-        small = b2_constant(w, h_grid=[0.5, 0.25], theta_grid=[0.0])
+        small = b2_constant(w, h_grid=[0.5, 0.25])
         assert 1.0 <= small < b2_constant(w)
 
     def test_grid_validation(self):
@@ -111,6 +112,14 @@ class TestMembership:
         assert DiagonalPowerWeight([0.5, -0.5]).b2_membership(0.0)
         assert not DiagonalPowerWeight([0.5, -1.2]).b2_membership(0.0)
 
+    def test_field_without_terms_rejected(self):
+        class Opaque(IdentityWeight):
+            def field(self):
+                return dataclasses.replace(super().field(), terms=None)
+
+        with pytest.raises(ValueError, match="terms"):
+            b2_constant(Opaque(1))
+
     def test_non_member_inverse_fails_integrability(self):
         # exponent 1.5 makes the inverse power non-integrable at eta=0
         with pytest.raises(ValueError):
@@ -127,7 +136,7 @@ class TestDescriptors:
         ):
             desc = w.descriptor
             rebuilt = weight_from_descriptor(desc)
-            assert rebuilt.dim == w.dim
+            assert rebuilt.dim == w.dim and rebuilt.descriptor == desc
             z = np.array([0.2 + 0.1j, -0.5j])
             assert np.allclose(
                 rebuilt.field().evaluator(z), w.field().evaluator(z), atol=1e-12
@@ -150,6 +159,10 @@ class TestDescriptors:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             weight_from_descriptor({"kind": "nope"})
+
+    def test_unknown_key(self):
+        with pytest.raises(ValueError, match="exponnent"):
+            weight_from_descriptor({"kind": "scalar_power", "exponent": 0.5, "exponnent": 2})
 
 
 class TestGridDefaults:
