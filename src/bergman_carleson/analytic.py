@@ -25,7 +25,6 @@ import numpy as np
 from .disc_geometry import HyperbolicDisc, TWO_PI, WholeDisc
 from .linalg import op_norm, psd_inv_sqrt, sandwich
 from .quadrature import (
-    DEFAULT_BUDGET,
     DEFAULT_TOL,
     MatrixField,
     MeasureSpec,
@@ -263,11 +262,11 @@ def _power_terms(field: MatrixField):
 
 
 def _poly_quadratic_norm(
-    f: VectorPoly, field: MatrixField, eta: float, tol: float, budget: int
+    f: VectorPoly, field: MatrixField, eta: float, tol: float
 ) -> float:
     terms = _power_terms(field)
     if terms is None:
-        return _generic_quadratic_norm(f, field, eta, tol, budget)
+        return _generic_quadratic_norm(f, field, eta, tol)
     coeffs = f.coefficients
 
     def power_norm(s, matrix):
@@ -292,11 +291,11 @@ def _poly_quadratic_norm(
 
 
 def _kernel_quadratic_norm(
-    f: KernelFunction, field: MatrixField, eta: float, tol: float, budget: int
+    f: KernelFunction, field: MatrixField, eta: float, tol: float
 ) -> float:
     terms = _power_terms(field)
     if terms is None:
-        return _generic_quadratic_norm(f, field, eta, tol, budget)
+        return _generic_quadratic_norm(f, field, eta, tol)
     e = f.direction
     return reduce(
         add,
@@ -310,7 +309,7 @@ def _kernel_quadratic_norm(
     )
 
 
-def _generic_quadratic_norm(f, field: MatrixField, eta, tol, budget) -> float:
+def _generic_quadratic_norm(f, field: MatrixField, eta, tol) -> float:
     def fn(z):
         fv = np.atleast_2d(np.asarray(f(z)))
         wv = field.evaluator(z)
@@ -329,7 +328,6 @@ def _generic_quadratic_norm(f, field: MatrixField, eta, tol, budget) -> float:
         WholeDisc(),
         MeasureSpec(eta),
         tol=tol,
-        budget=budget,
         singular_exponent=field.singular_exponent,
         radial_breaks=radial_breaks,
         angular_breaks=angular_breaks,
@@ -342,7 +340,6 @@ def weighted_norm2(
     weight,
     eta: float = 0.0,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Squared norm of an analytic function against the weight and the
     radial-power probability measure of parameter eta."""
@@ -350,10 +347,10 @@ def weighted_norm2(
         raise ValueError("eta must exceed -1")
     field = _field_of(weight, _dimension_of(f))
     if isinstance(f, VectorPoly):
-        return _poly_quadratic_norm(f, field, eta, tol, budget)
+        return _poly_quadratic_norm(f, field, eta, tol)
     if isinstance(f, KernelFunction):
-        return _kernel_quadratic_norm(f, field, eta, tol, budget)
-    return _generic_quadratic_norm(f, field, eta, tol, budget)
+        return _kernel_quadratic_norm(f, field, eta, tol)
+    return _generic_quadratic_norm(f, field, eta, tol)
 
 
 def seminorm2(
@@ -361,11 +358,10 @@ def seminorm2(
     symbol,
     n: int,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Squared derivative seminorm: the n-th derivative tested against
     the symbol, with plain area measure."""
-    return weighted_norm2(derivative(f, n), symbol, eta=0.0, tol=tol, budget=budget)
+    return weighted_norm2(derivative(f, n), symbol, eta=0.0, tol=tol)
 
 
 def _dimension_of(f) -> int:
@@ -419,7 +415,6 @@ def condition_constant(
     problem: EmbeddingProblem,
     lambda_grid: Sequence[complex] | None = None,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> GridReport:
     """Embedding condition over a grid of hyperbolic discs.
 
@@ -438,8 +433,8 @@ def condition_constant(
     best = (-math.inf, None)
     for lam in lambda_grid:
         disc = HyperbolicDisc(center=lam, ratio=problem.ratio)
-        m_symbol = integrate(problem.symbol, disc, tol=tol, budget=budget)
-        m_weight = integrate(weight_field, disc, spec, tol=tol, budget=budget)
+        m_symbol = integrate(problem.symbol, disc, tol=tol)
+        m_weight = integrate(weight_field, disc, spec, tol=tol)
         ratio = op_norm(sandwich(psd_inv_sqrt(m_weight), m_symbol))
         value = ratio / (1.0 - abs(lam)) ** (2 * problem.order)
         values.append((lam, value))
@@ -454,14 +449,13 @@ def embedding_ratio(
     f,
     problem: EmbeddingProblem,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Derivative seminorm over weighted norm for one test function; a
     certified lower bound for the best embedding constant."""
-    denom = weighted_norm2(f, problem.weight, problem.eta, tol=tol, budget=budget)
+    denom = weighted_norm2(f, problem.weight, problem.eta, tol=tol)
     if denom <= 0.0:
         raise ValueError("test function has zero weighted norm")
-    numer = seminorm2(f, problem.symbol, problem.order, tol=tol, budget=budget)
+    numer = seminorm2(f, problem.symbol, problem.order, tol=tol)
     return numer / denom
 
 
@@ -497,7 +491,6 @@ def dictionary_sup(
     dictionary: Sequence | None = None,
     gamma: float | None = None,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Best embedding ratio over a fixed family of test functions."""
     if dictionary is None:
@@ -506,7 +499,7 @@ def dictionary_sup(
         dictionary = default_dictionary(problem.dimension, gamma, ratio=problem.ratio)
     best = -math.inf
     for f in dictionary:
-        best = max(best, embedding_ratio(f, problem, tol=tol, budget=budget))
+        best = max(best, embedding_ratio(f, problem, tol=tol))
     return best
 
 
@@ -515,7 +508,6 @@ def necessity_lower_bound(
     gamma: float,
     lam: complex,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Best kernel-ray embedding ratio at one center.
 
@@ -532,17 +524,13 @@ def necessity_lower_bound(
     dim = problem.dimension
     base = KernelFunction(center=lam, exponent=gamma, direction=np.eye(dim)[0])
     deriv = base.derivative(problem.order)
-    numer = _scalar_envelope_matrix(
-        deriv, problem.symbol, eta=0.0, tol=tol, budget=budget
-    )
-    denom = _scalar_envelope_matrix(
-        base, problem.weight_field, eta=problem.eta, tol=tol, budget=budget
-    )
+    numer = _scalar_envelope_matrix(deriv, problem.symbol, eta=0.0, tol=tol)
+    denom = _scalar_envelope_matrix(base, problem.weight_field, eta=problem.eta, tol=tol)
     return op_norm(sandwich(psd_inv_sqrt(denom), numer))
 
 
 def _scalar_envelope_matrix(
-    kernel: KernelFunction, field: MatrixField, eta: float, tol: float, budget: int
+    kernel: KernelFunction, field: MatrixField, eta: float, tol: float
 ) -> np.ndarray:
     """Matrix of the quadratic form e -> squared norm of the kernel ray
     in direction e; the direction factors out of the scalar envelope,

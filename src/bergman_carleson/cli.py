@@ -98,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--depth", type=int, help="override the partition depth")
         p.add_argument("--tol", type=float, help="override the quadrature tolerance")
-        p.add_argument("--threads", type=int, help="worker threads for grid scans")
     rp = sub.add_parser("report", help="summarize and re-plot an existing run")
     rp.add_argument("--input", type=Path, required=True, help="run directory or report.json")
     rp.add_argument("--out", type=Path, help="directory for the regenerated plot")
@@ -155,7 +154,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _handle_report(args)
         scenario = _scenario_for(args)
-        run_dir = run_scenario(scenario, out_root=args.out, threads=args.threads)
+        run_dir = run_scenario(scenario, out_root=args.out)
         print(run_dir)
         return 0
     except ScenarioError as exc:

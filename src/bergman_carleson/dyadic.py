@@ -47,7 +47,7 @@ from .measures import (
     measure_from_descriptor,
     partition_masses,
 )
-from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, PLAIN, integrate_values
+from .quadrature import DEFAULT_TOL, PLAIN, integrate_values
 
 #: Stop when the Ritz residual falls to this fraction of the Ritz value.
 LANCZOS_TOL = 1e-13
@@ -93,7 +93,6 @@ def apply_B(
     f: "CellFunction | Callable[[np.ndarray], np.ndarray]",
     depth: int,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> CellFunction:
     """Average a vector field over every top-half cell to a depth.
 
@@ -107,10 +106,8 @@ def apply_B(
     dim = probe.shape[-1]
     values: dict[DyadicIndex, np.ndarray] = {}
     for idx in top_half_partition(depth).cells:
-        mean = integrate_values(
-            f, (dim,), TopHalf(idx), PLAIN, tol=tol, budget=budget
-        ) / top_half_area(idx.level)
-        values[idx] = np.asarray(mean, dtype=complex)
+        mean = integrate_values(f, (dim,), TopHalf(idx), PLAIN, tol=tol)
+        values[idx] = np.asarray(mean / top_half_area(idx.level), dtype=complex)
     return CellFunction(dimension=dim, depth=depth, values=values)
 
 
@@ -118,7 +115,6 @@ def norm_squared_mu(
     f: CellFunction,
     mu: "MatrixMeasure | PartitionMasses",
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Squared measure-norm of a step function: sum of cell quadratic
     forms <mass(T_I) a_I, a_I>."""
@@ -127,7 +123,7 @@ def norm_squared_mu(
         if masses.depth < f.depth:
             raise ValueError("measure masses shallower than the step function")
     else:
-        masses = partition_masses(mu, f.depth, tol=tol, budget=budget)
+        masses = partition_masses(mu, f.depth, tol=tol)
     total = 0.0
     for idx in sorted(f.values):
         a = f.value(idx)
@@ -200,7 +196,6 @@ def dyadic_norm(
     mu: MatrixMeasure,
     depth: int,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     masses: PartitionMasses | None = None,
 ) -> DyadicNormResult:
@@ -212,7 +207,7 @@ def dyadic_norm(
     never reads the per-cell eigenvalues (the field keeps its old name).
     """
     if masses is None:
-        masses = partition_masses(mu, depth, tol=tol, budget=budget)
+        masses = partition_masses(mu, depth, tol=tol)
     elif masses.depth != depth:
         raise ValueError("precomputed masses were built for a different depth")
     areas = row_areas(depth)
@@ -255,7 +250,6 @@ def equivalence_report(
     mu: MatrixMeasure,
     depth: int,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     masses: PartitionMasses | None = None,
 ) -> EquivalenceReport:
@@ -263,11 +257,11 @@ def equivalence_report(
     if depth < 1:
         raise ValueError("need depth >= 1")
     if masses is None:
-        masses = partition_masses(mu, depth, tol=tol, budget=budget)
+        masses = partition_masses(mu, depth, tol=tol)
     elif masses.depth != depth:
         raise ValueError("precomputed masses were built for a different depth")
-    norm = dyadic_norm(mu, depth, tol=tol, budget=budget, seed=seed, masses=masses)
-    report = carleson_intensity(mu, depth, tol=tol, budget=budget, masses=masses)
+    norm = dyadic_norm(mu, depth, tol=tol, seed=seed, masses=masses)
+    report = carleson_intensity(mu, depth, tol=tol, masses=masses)
     alpha = report.tophalf_intensity
     shallow = min(4, depth)
     norms = masses.square_norms[: level_rows(shallow).stop]
@@ -311,7 +305,6 @@ def dimension_sweep(
     depth: int,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> SweepResult:
     """Embedding-norm-to-intensity ratios across value dimensions.
 
@@ -328,11 +321,9 @@ def dimension_sweep(
     rows = []
     for d in sorted(dims):
         mu = scalar if d == 1 else lift_scalar_measure(scalar, d, seed)
-        masses = partition_masses(mu, depth, tol=tol, budget=budget)
-        norm = dyadic_norm(mu, depth, tol=tol, budget=budget, seed=seed, masses=masses)
-        intensity = carleson_intensity(
-            mu, depth, tol=tol, budget=budget, masses=masses
-        ).intensity
+        masses = partition_masses(mu, depth, tol=tol)
+        norm = dyadic_norm(mu, depth, tol=tol, seed=seed, masses=masses)
+        intensity = carleson_intensity(mu, depth, tol=tol, masses=masses).intensity
         rows.append(
             SweepRow(
                 dimension=d,

@@ -4,9 +4,8 @@ A scenario is a small YAML document naming an experiment kind and its
 family descriptors.  Each run writes an append-only results directory
 holding report.json, curves.csv, plot.svg, and manifest.json.  The
 first three are byte-deterministic functions of (scenario, seed):
-wall-clock and thread count live only in the manifest, and every
-parallel reduction in the library is order-fixed, so re-runs and
-thread-count changes reproduce the artifacts bit for bit.
+the wall clock and the write time live only in the manifest, so a
+repeat run reproduces the artifacts bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +62,8 @@ KIND_KEYS = {
     "volterra": frozenset({"symbol", "weight", "ratio", "grid"}),
 }
 KINDS = tuple(KIND_KEYS)
+#: The keys of the ``grid`` mapping of embed and volterra scenarios.
+GRID_KEYS = frozenset({"max_level", "angles"})
 
 
 def _require(condition: bool, message: str) -> None:
@@ -170,6 +171,8 @@ def validate_scenario(raw) -> dict:
             scenario["eta"] = _as_float(scenario["eta"], "eta", -1.0, 16.0)
         if "grid" in scenario:
             grid = _mapping(scenario["grid"], "grid")
+            unknown = sorted(str(key) for key in grid.keys() - GRID_KEYS)
+            _require(not unknown, f"unknown grid keys: {', '.join(unknown)}")
             if "max_level" in grid:
                 grid["max_level"] = _as_int(grid["max_level"], "grid.max_level", 1, 12)
             if "angles" in grid:
@@ -232,6 +235,16 @@ def _weight_or_error(desc: Mapping):
         raise ScenarioError(f"bad weight descriptor: {exc}") from exc
 
 
+def _require_integrable(field, eta: float, label: str) -> None:
+    """Every power term (1-|z|)**s of a weight field is integrable
+    against dA_eta, that is eta + s > -1."""
+    for power, _ in field.terms:
+        _require(
+            eta + power > -1.0,
+            f"{label} term (1-|z|)^{power:g} is not integrable for eta = {eta:g}",
+        )
+
+
 def _cell(idx) -> list[int]:
     return [idx.level, idx.position]
 
@@ -262,7 +275,7 @@ def _base_report(kind: str, scenario: Mapping) -> dict:
     }
 
 
-def _run_intensity(s: Mapping, threads) -> dict:
+def _run_intensity(s: Mapping) -> dict:
     mu = _measure_or_error(s["measure"])
     masses = partition_masses(mu, s["depth"], tol=s["tol"])
     rep = carleson_intensity(mu, s["depth"], tol=s["tol"], masses=masses)
@@ -292,7 +305,7 @@ def _run_intensity(s: Mapping, threads) -> dict:
     return report
 
 
-def _run_dyadic_norm(s: Mapping, threads) -> dict:
+def _run_dyadic_norm(s: Mapping) -> dict:
     mu = _measure_or_error(s["measure"])
     masses = partition_masses(mu, s["depth"], tol=s["tol"])
     result = dyadic_norm(
@@ -320,7 +333,7 @@ def _run_dyadic_norm(s: Mapping, threads) -> dict:
     return report
 
 
-def _run_equivalence(s: Mapping, threads) -> dict:
+def _run_equivalence(s: Mapping) -> dict:
     mu = _measure_or_error(s["measure"])
     masses = partition_masses(mu, s["depth"], tol=s["tol"])
     rep = equivalence_report(mu, s["depth"], tol=s["tol"], seed=s["seed"], masses=masses)
@@ -351,7 +364,7 @@ def _run_equivalence(s: Mapping, threads) -> dict:
     return report
 
 
-def _run_sweep(s: Mapping, threads) -> dict:
+def _run_sweep(s: Mapping) -> dict:
     _measure_or_error(s["template"])
     sweep = dimension_sweep(
         s["template"], s["dims"], s["depth"], seed=s["seed"], tol=s["tol"]
@@ -379,20 +392,19 @@ def _run_sweep(s: Mapping, threads) -> dict:
     return report
 
 
-def _run_b2(s: Mapping, threads) -> dict:
+def _run_b2(s: Mapping) -> dict:
     weight = _weight_or_error(s["weight"])
     try:
-        weight.inverse().field()
+        inverse_field = weight.inverse().field()
     except ValueError as exc:
         raise ScenarioError(f"weight inverse is not integrable: {exc}") from exc
     eta = s.get("eta", 0.0)
+    _require_integrable(weight.field(), eta, "weight")
+    _require_integrable(inverse_field, eta, "weight inverse")
     hs = tuple(s["h_grid"]) if "h_grid" in s else default_h_grid()
     # each row is the maximum over its own squares, so the first maximum
     # of the rows is the grid supremum
-    rows = [
-        [h, b2_constant(weight, eta=eta, h_grid=(h,), tol=s["tol"], workers=threads)]
-        for h in hs
-    ]
+    rows = [[h, b2_constant(weight, eta=eta, h_grid=(h,), tol=s["tol"])] for h in hs]
     sup = max(value for _, value in rows)
     report = _base_report("b2", s)
     report["results"] = {
@@ -411,10 +423,11 @@ def _run_b2(s: Mapping, threads) -> dict:
     return report
 
 
-def _run_embed(s: Mapping, threads) -> dict:
+def _run_embed(s: Mapping) -> dict:
     symbol = _symbol_field(s["symbol"])
     weight = _weight_or_error(s["weight"])
     eta = s.get("eta", 0.0)
+    _require_integrable(weight.field(), eta, "weight")
     order = s.get("order", 0)
     ratio = s.get("ratio", 0.5)
     gamma = s.get("gamma", eta + 1.0)
@@ -476,7 +489,7 @@ def _run_embed(s: Mapping, threads) -> dict:
     return report
 
 
-def _run_volterra(s: Mapping, threads) -> dict:
+def _run_volterra(s: Mapping) -> dict:
     symbol = _volterra_symbol(s["symbol"])
     weight = _weight_or_error(s["weight"])
     _require(symbol.dimension == weight.dim, "symbol and weight dimensions differ")
@@ -528,9 +541,9 @@ _HANDLERS = {
 }
 
 
-def build_report(scenario: Mapping, threads: int | None = None) -> dict:
+def build_report(scenario: Mapping) -> dict:
     """Compute a full report dict for a validated scenario."""
-    return _HANDLERS[scenario["kind"]](scenario, threads)
+    return _HANDLERS[scenario["kind"]](scenario)
 
 
 def _csv_number(value: float) -> str:
@@ -563,11 +576,7 @@ def _fresh_run_dir(root: Path, kind: str, seed: int) -> Path:
             return run_dir
 
 
-def run_scenario(
-    source,
-    out_root=None,
-    threads: int | None = None,
-) -> Path:
+def run_scenario(source, out_root=None) -> Path:
     """Execute one scenario and persist its artifacts.
 
     ``source`` is a scenario file path or an already-loaded mapping.
@@ -581,7 +590,7 @@ def run_scenario(
         scenario = load_scenario(source)
         source_label = str(source)
     started = time.perf_counter()
-    report = build_report(scenario, threads)
+    report = build_report(scenario)
     wall = time.perf_counter() - started
     run_dir = _fresh_run_dir(output_root(out_root), scenario["kind"], scenario["seed"])
     (run_dir / "report.json").write_text(
@@ -595,10 +604,9 @@ def run_scenario(
         "package_version": __version__,
         "wall_clock_seconds": wall,
         "written_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "threads": threads,
         "source": source_label,
         "plot_emitted": plot_emitted,
-        "determinism_note": "wall clock and thread count are recorded here "
+        "determinism_note": "wall clock and write time are recorded here "
         "only; report.json, curves.csv and plot.svg are functions of "
         "(scenario, seed)",
     }

@@ -88,17 +88,17 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vecs * root) @ vecs.conj().T
 
 
-def psd_inv_sqrt(matrix: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
+def psd_inv_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Inverse principal square root of a Hermitian positive matrix.
 
     Raises :class:`DegenerateWeightError` when any eigenvalue sits below
-    ``floor`` times the largest one, since the inverse would then be
+    ``PSD_FLOOR`` times the largest one, since the inverse would then be
     numerically meaningless.
     """
     m = hermitize(matrix)
     vals, vecs = np.linalg.eigh(m)
     top = float(vals[-1]) if vals.size else 0.0
-    if top <= 0.0 or float(vals[0]) < floor * top:
+    if top <= 0.0 or float(vals[0]) < PSD_FLOOR * top:
         raise DegenerateWeightError(
             f"matrix is numerically singular (eigenvalues {vals[0]:.6e} "
             f"to {top:.6e}); cannot form an inverse square root"

@@ -35,7 +35,6 @@ from .disc_geometry import (
 )
 from .linalg import assert_psd, hermitize, op_norm, op_norms
 from .quadrature import (
-    DEFAULT_BUDGET,
     DEFAULT_TOL,
     MatrixField,
     PLAIN,
@@ -168,7 +167,6 @@ def measure_of(
     mu: MatrixMeasure,
     region: Region,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
     """Mass of a region: atoms by half-open membership plus the density
     integral."""
@@ -177,7 +175,7 @@ def measure_of(
         if contains(region, point):
             total = total + matrix
     if mu.density is not None:
-        total = total + integrate(mu.density, region, PLAIN, tol=tol, budget=budget)
+        total = total + integrate(mu.density, region, PLAIN, tol=tol)
     return hermitize(total)
 
 
@@ -252,7 +250,6 @@ def partition_masses(
     mu: MatrixMeasure,
     depth: int,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> PartitionMasses:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -274,22 +271,20 @@ def partition_masses(
             # one band integral per level, shared by all cells of the level
             for level in range(depth + 1):
                 cells[level_rows(level)] += integrate(
-                    mu.density, TopHalf(DyadicIndex(level, 0)), PLAIN,
-                    tol=tol, budget=budget,
+                    mu.density, TopHalf(DyadicIndex(level, 0)), PLAIN, tol=tol
                 )
             slivers += integrate_annulus(
-                mu.density, inner_radius, 1.0, PLAIN, tol=tol, budget=budget
+                mu.density, inner_radius, 1.0, PLAIN, tol=tol
             ) * 2.0 ** -depth
         else:
             for row in range(len(cells)):
                 cells[row] += integrate(
-                    mu.density, TopHalf(row_index(row)), PLAIN, tol=tol, budget=budget
+                    mu.density, TopHalf(row_index(row)), PLAIN, tol=tol
                 )
             for k in range(len(slivers)):
                 lo, hi = DyadicIndex(depth, k).theta_bounds()
                 slivers[k] += integrate_polar_rect(
-                    mu.density, inner_radius, 1.0, lo, hi, PLAIN,
-                    tol=tol, budget=budget,
+                    mu.density, inner_radius, 1.0, lo, hi, PLAIN, tol=tol
                 )
 
     return PartitionMasses(dimension=d, depth=depth, cells=cells, slivers=slivers)
@@ -316,7 +311,6 @@ def carleson_intensity(
     mu: MatrixMeasure,
     max_depth: int,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
     masses: PartitionMasses | None = None,
 ) -> IntensityReport:
     """Sup of normalized square masses over all levels up to max_depth.
@@ -325,7 +319,7 @@ def carleson_intensity(
     dyadic norm computation; it must have depth == max_depth.
     """
     if masses is None:
-        masses = partition_masses(mu, max_depth, tol=tol, budget=budget)
+        masses = partition_masses(mu, max_depth, tol=tol)
     elif masses.depth != max_depth:
         raise ValueError("precomputed masses were built for a different depth")
 

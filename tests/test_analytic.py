@@ -26,7 +26,6 @@ from bergman_carleson.analytic import (
 )
 from bergman_carleson.errors import DegenerateWeightError
 from bergman_carleson.quadrature import (
-    DEFAULT_BUDGET,
     MatrixField,
     constant_field,
     identity_field,
@@ -170,16 +169,16 @@ class TestTiltedWeight:
     )
     def test_closed_forms_match_the_generic_route(self, f):
         field = weight_from_descriptor(TILTED).field()
-        generic = _generic_quadratic_norm(f, field, 0.0, 1e-12, DEFAULT_BUDGET)
+        generic = _generic_quadratic_norm(f, field, 0.0, 1e-12)
         assert weighted_norm2(f, field) == pytest.approx(generic, rel=1e-10)
 
     def test_envelope_matrix_matches_kernel_rays(self):
         field = weight_from_descriptor(TILTED).field()
         base = KernelFunction(center=0.5 + 0.2j, exponent=1.0, direction=_e(2))
-        envelope = _scalar_envelope_matrix(base, field, 0.0, 1e-12, DEFAULT_BUDGET)
+        envelope = _scalar_envelope_matrix(base, field, 0.0, 1e-12)
         for e in (_e(2), _e(2, 1), np.array([0.6, 0.8j])):
             ray = KernelFunction(center=base.center, exponent=1.0, direction=e)
-            generic = _generic_quadratic_norm(ray, field, 0.0, 1e-12, DEFAULT_BUDGET)
+            generic = _generic_quadratic_norm(ray, field, 0.0, 1e-12)
             assert np.real(np.vdot(e, envelope @ e)) == pytest.approx(generic, rel=1e-10)
 
     def test_small_dictionary_sup(self):

@@ -152,6 +152,27 @@ def test_report_subcommand_rejects_garbage(tmp_path):
             "dims": [1, 2],
             "seed": 0,
         },
+        {
+            "version": 1,
+            "kind": "b2",
+            "weight": {"kind": "scalar_power", "exponent": 0.6},
+            "eta": -0.5,
+        },
+        {
+            "version": 1,
+            "kind": "embed",
+            "symbol": {"kind": "identity", "dim": 1},
+            "weight": {"kind": "scalar_power", "exponent": -0.6},
+            "eta": -0.5,
+            "gamma": 1.0,
+        },
+        {
+            "version": 1,
+            "kind": "embed",
+            "symbol": {"kind": "radial_power", "exponent": -0.5, "dim": 1},
+            "weight": {"kind": "identity", "dim": 1},
+            "grid": {"max_levle": 3},
+        },
     ],
     ids=[
         "volterra-dimension-mismatch",
@@ -163,6 +184,9 @@ def test_report_subcommand_rejects_garbage(tmp_path):
         "misspelt-weight-key",
         "misspelt-symbol-key",
         "misspelt-template-key",
+        "b2-inverse-not-integrable-for-eta",
+        "embed-weight-not-integrable-for-eta",
+        "misspelt-grid-key",
     ],
 )
 def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):
@@ -183,6 +207,9 @@ def test_usage_error_exits_one(capsys):
         cli.main(["b2", "--bogus"])
     assert exc.value.code == 1
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["b2", "--threads", "4"])
+    assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         cli.main(["b2", "--help"])
     assert exc.value.code == 0

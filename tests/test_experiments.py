@@ -228,7 +228,7 @@ def test_handlers_read_only_allowed_keys():
     assert sorted(s["kind"] for s in scenarios) == sorted(KIND_KEYS)
     for scenario in scenarios:
         logged = _ReadLog(validate_scenario(scenario))
-        experiments._HANDLERS[logged["kind"]](logged, None)
+        experiments._HANDLERS[logged["kind"]](logged)
         allowed = COMMON_KEYS | KIND_KEYS[logged["kind"]]
         assert logged.read <= allowed, logged["kind"]
         assert KIND_KEYS[logged["kind"]] <= logged.read, logged["kind"]
@@ -275,18 +275,6 @@ class TestRunScenario:
         assert (first / "curves.csv").read_bytes() == (
             second / "curves.csv"
         ).read_bytes()
-
-    def test_b2_threads_do_not_change_bytes(self, tmp_path):
-        scenario = {
-            "version": 1,
-            "kind": "b2",
-            "weight": {"kind": "scalar_power", "exponent": 0.5, "dim": 1},
-            "h_grid": [1.0, 0.5, 0.25, 0.125],
-        }
-        serial = run_scenario(dict(scenario), out_root=tmp_path, threads=1)
-        threaded = run_scenario(dict(scenario), out_root=tmp_path, threads=4)
-        for name in ("report.json", "curves.csv", "plot.svg"):
-            assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
     def test_output_env_var_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BERGMAN_CARLESON_OUT", str(tmp_path / "env-root"))

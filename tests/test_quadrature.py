@@ -150,6 +150,11 @@ class TestBandRoute:
             np.testing.assert_allclose(
                 integrate(field, region), integrate(generic, region, tol=1e-11), rtol=1e-9
             )
+        np.testing.assert_allclose(
+            integrate_annulus(field, 0.25, 1.0),
+            integrate_annulus(generic, 0.25, 1.0, tol=1e-11),
+            rtol=1e-9,
+        )
 
     def test_non_integrable_power_rejected(self):
         field = radial_power_field(-0.75, np.eye(1))

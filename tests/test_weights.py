@@ -78,10 +78,6 @@ class TestB2Constant:
         v = b2_constant(BlockWeight([ScalarPowerWeight(0.5), IdentityWeight(2)]))
         assert v == pytest.approx(64.0 / 45.0, rel=1e-12)
 
-    def test_workers_do_not_change_the_value(self):
-        w = DiagonalPowerWeight([0.3, -0.6])
-        assert b2_constant(w, workers=4) == b2_constant(w)
-
     def test_explicit_grids(self):
         w = ScalarPowerWeight(0.5)
         small = b2_constant(w, h_grid=[0.5, 0.25])
