@@ -10,10 +10,12 @@ repeat run reproduces the artifacts bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import json
 import math
 import os
+import shutil
 import time
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -143,7 +145,8 @@ def validate_scenario(raw) -> dict:
     if kind == "sweep":
         template = _mapping(scenario.get("template"), "template descriptor")
         _require(
-            int(template.get("dim", 1)) == 1, "sweep template must be one-dimensional"
+            _as_int(template.get("dim", 1), "template dim", 1, 128) == 1,
+            "sweep template must be one-dimensional",
         )
         dims = scenario.get("dims")
         _require(
@@ -365,7 +368,11 @@ def _run_equivalence(s: Mapping) -> dict:
 
 
 def _run_sweep(s: Mapping) -> dict:
-    _measure_or_error(s["template"])
+    # a template may set its dimension by its matrix, not by "dim"
+    _require(
+        _measure_or_error(s["template"]).dimension == 1,
+        "sweep template must be one-dimensional",
+    )
     sweep = dimension_sweep(
         s["template"], s["dims"], s["depth"], seed=s["seed"], tol=s["tol"]
     )
@@ -566,14 +573,17 @@ def output_root(explicit=None) -> Path:
     return Path(env) if env else Path("results")
 
 
-def _fresh_run_dir(root: Path, kind: str, seed: int) -> Path:
-    base = root / kind
+def _staged_run_dir(base: Path, seed: int) -> tuple[Path, Path]:
+    """A fresh run directory name under ``base`` and its staging
+    directory ``<run>.tmp``, which is created; the run directory is not."""
+    base.mkdir(parents=True, exist_ok=True)
     while True:
         stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
         run_dir = base / f"{stamp}-{seed}"
-        if not run_dir.exists():
-            run_dir.mkdir(parents=True)
-            return run_dir
+        staging = base / f"{run_dir.name}.tmp"
+        if not run_dir.exists() and not staging.exists():
+            staging.mkdir()
+            return run_dir, staging
 
 
 def run_scenario(source, out_root=None) -> Path:
@@ -581,7 +591,10 @@ def run_scenario(source, out_root=None) -> Path:
 
     ``source`` is a scenario file path or an already-loaded mapping.
     Returns the run directory.  Nothing is written unless validation
-    and computation both succeed.
+    and computation both succeed, and the run directory appears whole:
+    the artifacts go to ``<run>.tmp``, renamed once ``manifest.json`` is
+    written.  A failed write removes the staging directory and every
+    directory the run created, and raises ScenarioError.
     """
     if isinstance(source, Mapping):
         scenario = validate_scenario(dict(source))
@@ -592,25 +605,38 @@ def run_scenario(source, out_root=None) -> Path:
     started = time.perf_counter()
     report = build_report(scenario)
     wall = time.perf_counter() - started
-    run_dir = _fresh_run_dir(output_root(out_root), scenario["kind"], scenario["seed"])
-    (run_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-    )
-    (run_dir / "curves.csv").write_text(curves_csv(report))
-    plot_emitted = len(report["curve"]["rows"]) >= 2
-    if plot_emitted:
-        (run_dir / "plot.svg").write_text(chart_from_report(report))
-    manifest = {
-        "package_version": __version__,
-        "wall_clock_seconds": wall,
-        "written_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "source": source_label,
-        "plot_emitted": plot_emitted,
-        "determinism_note": "wall clock and write time are recorded here "
-        "only; report.json, curves.csv and plot.svg are functions of "
-        "(scenario, seed)",
-    }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    base = output_root(out_root) / scenario["kind"]
+    # deepest first, so each is empty by the time it is removed
+    created = [p for p in (base, *base.parents) if not p.exists()]
+    staging = None
+    try:
+        run_dir, staging = _staged_run_dir(base, scenario["seed"])
+        (staging / "report.json").write_text(
+            json.dumps(report, sort_keys=True, indent=2) + "\n"
+        )
+        (staging / "curves.csv").write_text(curves_csv(report))
+        plot_emitted = len(report["curve"]["rows"]) >= 2
+        if plot_emitted:
+            (staging / "plot.svg").write_text(chart_from_report(report))
+        manifest = {
+            "package_version": __version__,
+            "wall_clock_seconds": wall,
+            "written_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+            "source": source_label,
+            "plot_emitted": plot_emitted,
+            "determinism_note": "wall clock and write time are recorded here "
+            "only; report.json, curves.csv and plot.svg are functions of "
+            "(scenario, seed)",
+        }
+        (staging / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        )
+        staging.rename(run_dir)
+    except OSError as exc:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+        for path in created:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise ScenarioError(f"cannot write the run directory: {exc}") from exc
     return run_dir

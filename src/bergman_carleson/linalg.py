@@ -4,6 +4,12 @@ Everything funnels through numpy's symmetric eigensolver.  The helpers
 are written so that exact fixed points stay exact: ``op_norm`` of an
 identity matrix is 1.0 to the bit, and ``psd_sqrt`` of the identity is
 the identity, because ``eigh`` reproduces both exactly.
+
+``op_norms`` solves each run of adjacent, bit-identical matrices of a
+stack once.  Dyadic tables are full of such runs (every cell of a level
+gets the same band mass, so cells away from the atoms repeat their
+neighbour), and the result is bit-exact because numpy solves each matrix
+of a stack independently of the others.
 """
 
 from __future__ import annotations
@@ -30,11 +36,30 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
 def op_norms(stack: np.ndarray) -> np.ndarray:
     """Operator (spectral) norms of a stack of square matrices, shape (n, d, d).
 
+    Each run of adjacent matrices with the same bits is solved once and
+    its norm repeated over the run.  Rows are compared as 64-bit words,
+    not by value, since -0.0 == 0.0 and NaN != NaN while the norm follows
+    the bits.  This is bit-exact: the solvers below treat every matrix of
+    a stack on its own, so a norm does not depend on its neighbours.
+
     Exactly Hermitian matrices take one stacked ``eigvalsh`` (the identity
     gives 1.0 exactly) and max(top, -bottom) of their eigenvalues, top
     winning a tie so signed zeros stay; the others take the top singular value.
     """
     s = np.asarray(stack)
+    n = len(s)
+    rows = np.ascontiguousarray(s).reshape(n, s.shape[1] * s.shape[2])
+    words = rows.view(np.uint64 if s.itemsize % 8 == 0 else np.uint8)
+    # row i starts a run unless its bits are those of row i - 1
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (words[1:] != words[:-1]).any(axis=1)
+    if starts.all():
+        return _spectral_norms(s)
+    return np.repeat(_spectral_norms(s[starts]), np.diff(np.flatnonzero(starts), append=n))
+
+
+def _spectral_norms(s: np.ndarray) -> np.ndarray:
+    """The Hermitian/SVD split of :func:`op_norms`, one solve per matrix."""
     t = s.swapaxes(-1, -2)
     # s == conj(t) part by part, without a conjugated copy of the stack
     hermitian = np.all((s.real == t.real) & (s.imag == -t.imag), axis=(-2, -1))
@@ -43,7 +68,7 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
         top, low = vals[:, -1], -vals[:, 0]
         return np.where(low > top, low, top)
     norms = np.empty(len(s))
-    norms[hermitian] = op_norms(s[hermitian])
+    norms[hermitian] = _spectral_norms(s[hermitian])
     norms[~hermitian] = np.linalg.svd(s[~hermitian], compute_uv=False)[:, 0]
     return norms
 

@@ -105,8 +105,14 @@ class MatrixMeasure:
             assert_psd(m, label="atom matrix")
             cleaned.append((z, hermitize(m)))
         object.__setattr__(self, "atoms", tuple(cleaned))
-        if self.density is not None and self.density.dim != self.dimension:
-            raise ValueError("density dimension does not match the measure")
+        if self.density is not None:
+            if self.density.dim != self.dimension:
+                raise ValueError("density dimension does not match the measure")
+            # a power profile (1-r)**s is >= 0, so a power term is PSD
+            # exactly when its matrix is
+            for profile, m in self.density.terms or ():
+                if not callable(profile):
+                    assert_psd(m, label="density term matrix")
 
     @property
     def has_density(self) -> bool:
@@ -210,10 +216,12 @@ class PartitionMasses:
 
     @property
     def residual_matrix(self) -> np.ndarray:
-        total = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for sliver in self.slivers:
-            total = total + sliver
-        return total
+        # Row after row from 0.0, the order of a plain loop.  numpy sums
+        # pairwise only along the fast axis; as (re, im) float pairs that
+        # is never the sliver axis, not even for d = 1.
+        pairs = self.slivers.view(float).reshape(len(self.slivers), -1)
+        total = np.add.reduce(pairs, axis=0, initial=0.0)
+        return total.view(complex).reshape(self.dimension, self.dimension)
 
     @cached_property
     def residual_norm(self) -> float:
@@ -373,6 +381,8 @@ def random_measure(
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
+    if num_atoms < 0:
+        raise ValueError("num_atoms must be nonnegative")
     lo, hi = annulus
     if not 0.0 <= lo < hi < 1.0:
         raise ValueError("annulus must satisfy 0 <= lo < hi < 1")

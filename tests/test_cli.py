@@ -173,6 +173,37 @@ def test_report_subcommand_rejects_garbage(tmp_path):
             "weight": {"kind": "identity", "dim": 1},
             "grid": {"max_levle": 3},
         },
+        {
+            "version": 1,
+            "kind": "sweep",
+            "template": {"kind": "atom", "point": [0.5, 0.0], "dim": "x"},
+            "dims": [1, 2],
+            "seed": 0,
+        },
+        {
+            "version": 1,
+            "kind": "sweep",
+            "template": {"kind": "atom", "point": [0.5, 0.0], "matrix": [[1, 0], [0, 1]]},
+            "dims": [1, 2],
+            "seed": 0,
+        },
+        {
+            "version": 1,
+            "kind": "intensity",
+            "measure": {"kind": "radial_power_density", "exponent": 1.0, "scale": -1},
+        },
+        {
+            "version": 1,
+            "kind": "dyadic-norm",
+            "measure": {"kind": "radial_power_density", "exponent": 1.0, "scale": -1},
+            "seed": 0,
+        },
+        {
+            "version": 1,
+            "kind": "intensity",
+            "measure": {"kind": "random", "dim": 2, "num_atoms": -1},
+            "seed": 0,
+        },
     ],
     ids=[
         "volterra-dimension-mismatch",
@@ -187,6 +218,11 @@ def test_report_subcommand_rejects_garbage(tmp_path):
         "b2-inverse-not-integrable-for-eta",
         "embed-weight-not-integrable-for-eta",
         "misspelt-grid-key",
+        "sweep-template-dim-not-an-integer",
+        "sweep-template-matrix-not-one-dimensional",
+        "intensity-negative-density",
+        "dyadic-norm-negative-density",
+        "random-negative-num-atoms",
     ],
 )
 def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):
@@ -199,6 +235,24 @@ def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not out_root.exists()
+
+
+def test_failed_write_exits_one_and_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    write_text = Path.write_text
+
+    def failing(path, *args, **kwargs):
+        if path.name != "report.json":
+            raise OSError("disk full")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    out_root = tmp_path / "results"
+    out_root.mkdir()
+    rc = cli.main(["intensity", "--depth", "2", "--out", str(out_root)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "disk full" in err
+    assert list(out_root.iterdir()) == []
 
 
 def test_usage_error_exits_one(capsys):

@@ -24,6 +24,7 @@ from bergman_carleson.experiments import _level_curve
 from bergman_carleson.linalg import op_norm, op_norms
 from bergman_carleson.measures import (
     MatrixMeasure,
+    PartitionMasses,
     atom_measure,
     carleson_intensity,
     conjugate_measure,
@@ -198,6 +199,24 @@ class TestCachedNorms:
         ):
             assert [float.hex(v) for v in cached] == [float.hex(v) for v in direct]
         assert float.hex(masses.residual_norm) == float.hex(op_norm(masses.residual_matrix))
+
+    @pytest.mark.parametrize("d", [4, 1])
+    def test_residual_matrix_is_the_sequential_sum(self, d):
+        # d = 1 leaves the sliver axis as the only long one, where a plain
+        # np.add.reduce would sum pairwise and move the last bits
+        rng = np.random.default_rng(12)
+        depth = 12
+        slivers = rng.normal(size=(2**depth, d, d)) + 1j * rng.normal(size=(2**depth, d, d))
+        cells = np.zeros((level_rows(depth).stop, d, d), dtype=complex)
+        masses = PartitionMasses(dimension=d, depth=depth, cells=cells, slivers=slivers)
+        total = np.zeros((d, d), dtype=complex)
+        for sliver in slivers:
+            total = total + sliver
+        residual = masses.residual_matrix
+        assert residual.dtype == total.dtype and residual.shape == total.shape
+        assert [float.hex(v) for v in residual.view(float).ravel()] == [
+            float.hex(v) for v in total.view(float).ravel()
+        ]
 
     def test_one_solve_per_table_matrix(self, monkeypatch):
         mu = random_measure(2, seed=5)
