@@ -293,20 +293,10 @@ def _poly_quadratic_norm(
 def _kernel_quadratic_norm(
     f: KernelFunction, field: MatrixField, eta: float, tol: float
 ) -> float:
-    terms = _power_terms(field)
-    if terms is None:
+    if _power_terms(field) is None:
         return _generic_quadratic_norm(f, field, eta, tol)
     e = f.direction
-    return reduce(
-        add,
-        (
-            abs(f.scalar_coefficient) ** 2
-            * float(np.real(np.vdot(e, matrix @ e)))
-            * (eta + 1.0)
-            * _kernel_series(f.power, abs(f.center), eta + s)
-            for s, matrix in terms
-        ),
-    )
+    return float(np.real(np.vdot(e, _scalar_envelope_matrix(f, field, eta) @ e)))
 
 
 def _generic_quadratic_norm(f, field: MatrixField, eta, tol) -> float:
@@ -514,7 +504,8 @@ def necessity_lower_bound(
     Both sides are quadratic forms in the direction vector with a
     common scalar envelope, so the maximization is a generalized
     eigenvalue problem between two small matrices.  Symbol and weight
-    must be sums of radial power terms, as every shipped one is.
+    must be sums of radial power terms, as every shipped one is.  Both
+    matrices are closed-form coefficient series, so ``tol`` is not read.
     """
     if gamma <= problem.eta:
         raise ValueError("kernel exponent must exceed eta")
@@ -524,13 +515,13 @@ def necessity_lower_bound(
     dim = problem.dimension
     base = KernelFunction(center=lam, exponent=gamma, direction=np.eye(dim)[0])
     deriv = base.derivative(problem.order)
-    numer = _scalar_envelope_matrix(deriv, problem.symbol, eta=0.0, tol=tol)
-    denom = _scalar_envelope_matrix(base, problem.weight_field, eta=problem.eta, tol=tol)
+    numer = _scalar_envelope_matrix(deriv, problem.symbol, eta=0.0)
+    denom = _scalar_envelope_matrix(base, problem.weight_field, eta=problem.eta)
     return op_norm(sandwich(psd_inv_sqrt(denom), numer))
 
 
 def _scalar_envelope_matrix(
-    kernel: KernelFunction, field: MatrixField, eta: float, tol: float
+    kernel: KernelFunction, field: MatrixField, eta: float
 ) -> np.ndarray:
     """Matrix of the quadratic form e -> squared norm of the kernel ray
     in direction e; the direction factors out of the scalar envelope,

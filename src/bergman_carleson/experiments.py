@@ -38,6 +38,7 @@ from .errors import ScenarioError
 from .measures import (
     _decode_matrix,
     _descriptor_kind,
+    _integer,
     carleson_intensity,
     measure_from_descriptor,
     partition_masses,
@@ -201,9 +202,9 @@ def _symbol_field(desc: Mapping):
     try:
         kind = _descriptor_kind(desc, SYMBOL_KEYS, "symbol")
         if kind == "identity":
-            return identity_field(int(desc["dim"]))
+            return identity_field(_integer(desc["dim"], "dim"))
         if kind == "radial_power":
-            dim = int(desc.get("dim", 1))
+            dim = _integer(desc.get("dim", 1), "dim")
             scale = float(desc.get("scale", 1.0))
             return radial_power_field(float(desc["exponent"]), scale * np.eye(dim))
         return constant_field(_decode_matrix(desc["matrix"]))
@@ -215,9 +216,9 @@ def _volterra_symbol(desc: Mapping):
     try:
         kind = _descriptor_kind(desc, VOLTERRA_SYMBOL_KEYS, "volterra symbol")
         if kind == "linear_identity":
-            return OperatorPoly.linear_identity(int(desc.get("dim", 1)))
+            return OperatorPoly.linear_identity(_integer(desc.get("dim", 1), "dim"))
         if kind == "log":
-            return LogSymbol(int(desc.get("dim", 1)))
+            return LogSymbol(_integer(desc.get("dim", 1), "dim"))
         coeffs = np.stack([_decode_matrix(c) for c in desc["coefficients"]])
         return OperatorPoly(dimension=coeffs.shape[1], coefficients=coeffs)
     except (KeyError, ValueError, TypeError) as exc:

@@ -16,6 +16,7 @@ integrated twice and the partition additivity identity holds to roundoff.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Mapping
@@ -26,6 +27,7 @@ from .disc_geometry import (
     DyadicIndex,
     Region,
     TopHalf,
+    TWO_PI,
     carleson_square_area,
     contains,
     level_rows,
@@ -40,7 +42,6 @@ from .quadrature import (
     PLAIN,
     constant_field,
     integrate,
-    integrate_annulus,
     integrate_polar_rect,
     radial_power_field,
 )
@@ -57,6 +58,14 @@ def _decode_matrix(raw) -> np.ndarray:
     if arr.ndim == 3:
         return arr[..., 0] + 1j * arr[..., 1]
     return np.asarray(raw, dtype=complex)
+
+
+def _integer(value, key: str) -> int:
+    """An integer descriptor value; a float or bool raises ValueError
+    instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _descriptor_kind(desc: Mapping, kind_keys: Mapping, label: str) -> str:
@@ -141,11 +150,14 @@ def identity_density_measure(dim: int) -> MatrixMeasure:
     )
 
 
-def _map_terms(field: MatrixField, fn):
-    """The terms of a field with every matrix M replaced by fn(M)."""
-    if field.terms is None:
-        return None
-    return tuple((profile, fn(m)) for profile, m in field.terms)
+def _mapped_field(inner: MatrixField, dim: int, fn, evaluator) -> MatrixField:
+    """The field of dimension ``dim`` whose terms are those of ``inner``
+    with every matrix M replaced by fn(M); a field without terms maps to
+    ``evaluator`` instead."""
+    if inner.terms is None:
+        return MatrixField(dim, evaluator, inner.singular_exponent)
+    terms = tuple((profile, fn(m)) for profile, m in inner.terms)
+    return MatrixField(dim, singular_exponent=inner.singular_exponent, terms=terms)
 
 
 def conjugate_measure(mu: MatrixMeasure, unitary: np.ndarray) -> MatrixMeasure:
@@ -160,12 +172,7 @@ def conjugate_measure(mu: MatrixMeasure, unitary: np.ndarray) -> MatrixMeasure:
         def evaluator(z: np.ndarray) -> np.ndarray:
             return np.einsum("ab,mbc,dc->mad", u, inner.evaluator(z), u.conj())
 
-        density = MatrixField(
-            dim=inner.dim,
-            evaluator=evaluator,
-            singular_exponent=inner.singular_exponent,
-            terms=_map_terms(inner, lambda m: u @ m @ u.conj().T),
-        )
+        density = _mapped_field(inner, inner.dim, lambda m: u @ m @ u.conj().T, evaluator)
     return MatrixMeasure(dimension=mu.dimension, atoms=atoms, density=density)
 
 
@@ -281,8 +288,8 @@ def partition_masses(
                 cells[level_rows(level)] += integrate(
                     mu.density, TopHalf(DyadicIndex(level, 0)), PLAIN, tol=tol
                 )
-            slivers += integrate_annulus(
-                mu.density, inner_radius, 1.0, PLAIN, tol=tol
+            slivers += integrate_polar_rect(
+                mu.density, inner_radius, 1.0, 0.0, TWO_PI, PLAIN, tol=tol
             ) * 2.0 ** -depth
         else:
             for row in range(len(cells)):
@@ -403,10 +410,7 @@ def random_measure(
         def profile(r: np.ndarray) -> np.ndarray:
             return c0 + c1 * (1.0 - r) ** p
 
-        def evaluator(z: np.ndarray) -> np.ndarray:
-            return profile(np.abs(z))[:, None, None] * base
-
-        density = MatrixField(dim=dim, evaluator=evaluator, terms=((profile, base),))
+        density = MatrixField(dim=dim, terms=((profile, base),))
     return MatrixMeasure(
         dimension=dim,
         atoms=tuple(atoms),
@@ -446,12 +450,7 @@ def lift_scalar_measure(scalar: MatrixMeasure, dim: int, seed: int) -> MatrixMea
             prof = inner.evaluator(z)[:, 0, 0]
             return prof[:, None, None] * projector
 
-        density = MatrixField(
-            dim=dim,
-            evaluator=evaluator,
-            singular_exponent=inner.singular_exponent,
-            terms=_map_terms(inner, lambda m: m[0, 0].real * projector),
-        )
+        density = _mapped_field(inner, dim, lambda m: m[0, 0].real * projector, evaluator)
     return MatrixMeasure(
         dimension=dim,
         atoms=atoms,
@@ -484,30 +483,32 @@ def measure_from_descriptor(desc: Mapping) -> MatrixMeasure:
     """
     kind = _descriptor_kind(desc, MEASURE_KEYS, "measure")
     if kind == "identity_density":
-        return identity_density_measure(int(desc["dim"]))
+        return identity_density_measure(_integer(desc["dim"], "dim"))
     if kind == "atom":
         re_part, im_part = desc["point"]
         point = complex(float(re_part), float(im_part))
         if "matrix" in desc:
             matrix = _decode_matrix(desc["matrix"])
-            if "scale" in desc or int(desc.get("dim", len(matrix))) != len(matrix):
+            if "scale" in desc or _integer(desc.get("dim", len(matrix)), "dim") != len(matrix):
                 raise ValueError("an atom matrix takes no scale and sets the dim")
         else:
-            matrix = np.eye(int(desc.get("dim", 1))) * float(desc.get("scale", 1.0))
+            matrix = np.eye(_integer(desc.get("dim", 1), "dim")) * float(desc.get("scale", 1.0))
         return atom_measure(point, matrix)
     if kind == "radial_power_density":
-        dim = int(desc.get("dim", 1))
+        dim = _integer(desc.get("dim", 1), "dim")
         exponent = float(desc["exponent"])
         scale = float(desc.get("scale", 1.0))
         field = radial_power_field(exponent, scale * np.eye(dim))
         return density_measure(field, descriptor=dict(desc))
     if kind == "lifted":
         template = measure_from_descriptor(desc["template"])
-        return lift_scalar_measure(template, int(desc["dim"]), int(desc["seed"]))
+        return lift_scalar_measure(
+            template, _integer(desc["dim"], "dim"), _integer(desc["seed"], "seed")
+        )
     return random_measure(
-        dim=int(desc["dim"]),
-        seed=int(desc.get("seed", 0)),
-        num_atoms=int(desc.get("num_atoms", 3)),
+        dim=_integer(desc["dim"], "dim"),
+        seed=_integer(desc.get("seed", 0), "seed"),
+        num_atoms=_integer(desc.get("num_atoms", 3), "num_atoms"),
         annulus=tuple(desc.get("annulus", (0.2, 0.9))),
         with_density=bool(desc.get("with_density", True)),
         atom_scale=float(desc.get("atom_scale", 1.0)),

@@ -13,13 +13,15 @@ along every axis until the summed indicators drop below
 :class:`ToleranceNotReached` carries the best estimate out.
 
 A field that carries ``terms``, a sum of radial profiles times constant
-matrices (see :class:`MatrixField`), takes one band route on the regions
-that are bands of radii times an arc: the whole disc, Carleson squares,
-top halves and annuli.  A power term's mass is taken in closed form and
-a function term's mass from the engine on its scalar profile over a
-segment; the result is the sum of mass times matrix, so the cost does
-not grow with the dimension and the evaluator is never called.  Every
-other region, and every field without terms, goes through the evaluator.
+matrices (see :class:`MatrixField`), takes one band route on every polar
+rectangle r0 <= |z| < r1, t0 <= arg z < t1: the whole disc, Carleson
+squares, top halves, annuli and the squares of the weight checker.  Its
+integral is (t1 - t0) / 2 pi times the band mass of the annulus.  A
+power term's mass is taken in closed form and a function term's mass
+from the engine on its scalar profile over a segment; the result is the
+sum of mass times matrix, so the cost does not grow with the dimension
+and the evaluator is never called.  Every other region, and every field
+without terms, goes through the evaluator.
 
 The maps are polar rectangles (r, t) -> r e^{it} for the dyadic regions
 and annuli, local polar rectangles about the center of a HyperbolicDisc,
@@ -52,6 +54,7 @@ bit-identical results.
 from __future__ import annotations
 
 import cmath
+import functools
 import heapq
 import itertools
 import math
@@ -82,18 +85,16 @@ BATCH_ENTRIES = 2 ** 14
 #: field evaluator sees them; keeps substituted panels clear of 1-|z| == 0.
 _BOUNDARY_CLAMP = 1e-15
 
-_gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+@functools.cache
+def _gauss() -> tuple[np.ndarray, np.ndarray]:
+    # on first use: importing numpy.polynomial costs about 1 MB of memory
+    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
-def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _gauss_cache:
-        _gauss_cache[order] = np.polynomial.legendre.leggauss(order)
-    return _gauss_cache[order]
-
-
-def _panel_nodes(a: np.ndarray, b: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights on the segments [a, b], one row per panel."""
-    x, w = _gauss(order)
+    x, w = _gauss()
     half = (0.5 * (b - a))[:, None]
     return half * x + (0.5 * (a + b))[:, None], half * w
 
@@ -121,16 +122,19 @@ class MatrixField:
     behavior like (1-|z|)**s so quadrature can pick the substituted
     radial variable.
 
-    ``terms``, when present, writes the field as a radial sum
+    ``terms``, when present, define a radial field as a sum
     W(z) = sum_j phi_j(|z|) M_j of (profile, matrix) pairs: a profile is
     an exponent s, meaning (1-r)**s, or a vectorized function of r.
-    Integrals over full bands of radii (the dyadic regions and annuli)
-    read the terms instead of the evaluator, see ``integrate``; every
-    other region reads the evaluator, which must agree with the terms.
+    Polar rectangles read the terms, see ``integrate_polar_rect``; every
+    other region reads the evaluator.  A field given by its terms alone
+    gets the evaluator sum_j phi_j(|z|) M_j, summed from the first term,
+    and its singular exponent is the least of the declared value and the
+    power exponents.  An evaluator passed with the terms must agree with
+    them; only the tilted ``DiagonalPowerWeight`` passes one, see there.
     """
 
     dim: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     singular_exponent: float = 0.0
     terms: tuple[tuple[float | Callable, np.ndarray], ...] | None = dataclass_field(
         default=None, compare=False
@@ -139,8 +143,6 @@ class MatrixField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        if self.singular_exponent <= -1.0:
-            raise ValueError("singular exponent must exceed -1 to be integrable")
         if self.terms is not None:
             terms = tuple(
                 (p if callable(p) else float(p), np.asarray(m, dtype=complex))
@@ -149,18 +151,46 @@ class MatrixField:
             if not terms or any(m.shape != (self.dim, self.dim) for _, m in terms):
                 raise ValueError("terms need square matrices of the field dimension")
             object.__setattr__(self, "terms", terms)
+            powers = [p for p, _ in terms if not callable(p)]
+            object.__setattr__(
+                self, "singular_exponent", min([self.singular_exponent] + powers)
+            )
+            if self.evaluator is None:
+                object.__setattr__(self, "evaluator", _terms_evaluator(terms))
+        elif self.evaluator is None:
+            raise ValueError("a field needs an evaluator or terms")
+        if self.singular_exponent <= -1.0:
+            raise ValueError("singular exponent must exceed -1 to be integrable")
+
+
+def _terms_evaluator(terms):
+    """The evaluator sum_j phi_j(|z|) M_j of a field's terms."""
+
+    def evaluator(z: np.ndarray) -> np.ndarray:
+        r = np.abs(z)
+        # from the first term, not from zeros: a one-term field evaluates
+        # to profile times matrix, and a constant field to its matrix
+        total = None
+        for profile, matrix in terms:
+            prof = profile(r) if callable(profile) else (1.0 - r) ** profile
+            value = prof[:, None, None] * matrix
+            total = value if total is None else total + value
+        return total
+
+    return evaluator
+
+
+def _square_matrix(matrix: np.ndarray, label: str) -> np.ndarray:
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{label} needs a square matrix")
+    return m
 
 
 def constant_field(matrix: np.ndarray) -> MatrixField:
     """Field taking a single constant Hermitian value."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("constant field needs a square matrix")
-
-    def evaluator(z: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(m, (z.shape[0],) + m.shape).copy()
-
-    return MatrixField(dim=m.shape[0], evaluator=evaluator, terms=((0.0, m),))
+    m = _square_matrix(matrix, "constant field")
+    return MatrixField(dim=m.shape[0], terms=((0.0, m),))
 
 
 def identity_field(dim: int) -> MatrixField:
@@ -169,21 +199,8 @@ def identity_field(dim: int) -> MatrixField:
 
 def radial_power_field(exponent: float, matrix: np.ndarray) -> MatrixField:
     """Field (1-|z|)**exponent * M for a constant Hermitian M."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("radial power field needs a square matrix")
-    s = float(exponent)
-
-    def evaluator(z: np.ndarray) -> np.ndarray:
-        prof = (1.0 - np.abs(z)) ** s
-        return prof[:, None, None] * m
-
-    return MatrixField(
-        dim=m.shape[0],
-        evaluator=evaluator,
-        singular_exponent=min(s, 0.0),
-        terms=((s, m),),
-    )
+    m = _square_matrix(matrix, "radial power field")
+    return MatrixField(dim=m.shape[0], terms=((exponent, m),))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +210,7 @@ def radial_power_field(exponent: float, matrix: np.ndarray) -> MatrixField:
 def _rule(fn, shape, nodes):
     """Panel estimator: the tensor Gauss rule on boxes pushed through a map.
 
-    ``nodes(boxes, order)`` maps a (P, 2) or (P, 4) array of boxes to
+    ``nodes(boxes)`` maps a (P, 2) or (P, 4) array of boxes to
     points with a leading panel axis, the weight factors and the einsum
     subscripts contracting them with the values of fn.  Returns the
     (P, *shape) estimates, chunked under BATCH_ENTRIES, and the count of
@@ -201,12 +218,12 @@ def _rule(fn, shape, nodes):
     """
     size = math.prod(shape)
 
-    def estimate(boxes, order):
-        per_panel = order ** (len(boxes[0]) // 2)
+    def estimate(boxes):
+        per_panel = GAUSS_ORDER ** (len(boxes[0]) // 2)
         step = max(1, BATCH_ENTRIES // (per_panel * size))
         parts = []
         for k in range(0, len(boxes), step):
-            z, weights, subscripts = nodes(np.array(boxes[k:k + step]), order)
+            z, weights, subscripts = nodes(np.array(boxes[k:k + step]))
             vals = np.asarray(fn(z.ravel())).reshape(*z.shape, *shape)
             parts.append(np.einsum(subscripts, *weights, vals))
         return np.concatenate(parts), len(boxes) * per_panel
@@ -214,14 +231,14 @@ def _rule(fn, shape, nodes):
     return estimate
 
 
-def _line(boxes, order):
+def _line(boxes):
     """Segments [a, b] of the real line, unit weight."""
-    x, w = _panel_nodes(boxes[:, 0], boxes[:, 1], order)
+    x, w = _panel_nodes(boxes[:, 0], boxes[:, 1])
     return x, (w,), "pi,pi...->p..."
 
 
-def _polar_nodes(r, radial_w, t0, t1, order):
-    t, wt = _panel_nodes(t0, t1, order)
+def _polar_nodes(r, radial_w, t0, t1):
+    t, wt = _panel_nodes(t0, t1)
     z = r[:, :, None] * np.exp(1j * t)[:, None, :]
     return z, (radial_w, wt), "pi,pj,pij...->p..."
 
@@ -229,11 +246,11 @@ def _polar_nodes(r, radial_w, t0, t1, order):
 def _polar(eta):
     """Polar rectangles in plain (r, t) coordinates."""
 
-    def nodes(boxes, order):
+    def nodes(boxes):
         r0, r1, t0, t1 = boxes.T
-        r, wr = _panel_nodes(r0, r1, order)
+        r, wr = _panel_nodes(r0, r1)
         radial_w = wr * (eta + 1.0) * (1.0 - r) ** eta * r / math.pi
-        return _polar_nodes(r, radial_w, t0, t1, order)
+        return _polar_nodes(r, radial_w, t0, t1)
 
     return nodes
 
@@ -264,12 +281,12 @@ def _substituted_polar(eta, p):
     the quadrature nodes is smooth.
     """
 
-    def nodes(boxes, order):
+    def nodes(boxes):
         u0, u1, t0, t1 = boxes.T
-        u, wu = _panel_nodes(u0, u1, order)
+        u, wu = _panel_nodes(u0, u1)
         r = np.minimum(1.0 - u ** p, 1.0 - _BOUNDARY_CLAMP)
         radial_w = wu * (eta + 1.0) * p * u ** (p * (1.0 + eta) - 1.0) * r / math.pi
-        return _polar_nodes(r, radial_w, t0, t1, order)
+        return _polar_nodes(r, radial_w, t0, t1)
 
     return nodes
 
@@ -281,10 +298,10 @@ def _local_polar(eta, center, edge):
     node.
     """
 
-    def nodes(boxes, order):
+    def nodes(boxes):
         s0, s1, p0, p1 = boxes.T
-        s, ws = _panel_nodes(s0, s1, order)
-        phi, wp = _panel_nodes(p0, p1, order)
+        s, ws = _panel_nodes(s0, s1)
+        phi, wp = _panel_nodes(p0, p1)
         e = edge(phi)
         z = center + (s[:, :, None] * e[:, None, :]) * np.exp(1j * phi)[:, None, :]
         safe = np.minimum(np.abs(z), 1.0 - _BOUNDARY_CLAMP)
@@ -326,20 +343,21 @@ def _split(box):
     return [sum(parts, ()) for parts in itertools.product(*halves)]
 
 
-def _adapt(estimate, boxes, tol, budget, order):
+def _adapt(estimate, boxes, tol, budget):
     """Greedy worst-box refinement over seed boxes.
 
     A box is a segment (a, b) or a rectangle (x0, x1, y0, y1), and
-    ``estimate(boxes, order)`` returns the estimates of a list of boxes
-    and their evaluation count.  A box is measured with its children, in
+    ``estimate(boxes)`` returns the estimates of a list of boxes and
+    their evaluation count.  A box is measured with its children, in
     sweeps: all seeds, then all children of each refined box, each sweep
     in chunks under BATCH_ENTRIES (see the module docstring).  Returns
     (value, error_estimate, evaluations).  The reported value is re-summed
     over surviving boxes in a fixed order for bit stability.
     """
-    live = {}
+    # heap entries (-err, counter, seed index, box, estimate): the unique
+    # counter breaks ties, so boxes and estimates are never compared
     heap = []
-    counter = 0
+    counter = itertools.count()
     evals = 0
     total = None
     err_sum = 0.0
@@ -347,7 +365,7 @@ def _adapt(estimate, boxes, tol, budget, order):
     def measure(boxes):
         nonlocal evals
         families = [[box] + _split(box) for box in boxes]
-        values, n = estimate([b for family in families for b in family], order)
+        values, n = estimate([b for family in families for b in family])
         evals += n
         size = len(families[0])
         for k in range(0, len(values), size):
@@ -357,22 +375,11 @@ def _adapt(estimate, boxes, tol, budget, order):
             yield fine, _value_norm(coarse - fine)
 
     for pid, (box, (fine, err)) in enumerate(zip(boxes, measure(boxes))):
-        live[counter] = (pid, box, fine, err)
-        heapq.heappush(heap, (-err, counter))
+        heapq.heappush(heap, (-err, next(counter), pid, box, fine))
         total = fine if total is None else total + fine
         err_sum += err
-        counter += 1
 
-    while True:
-        if err_sum <= tol * (1.0 + _value_norm(total)) or not heap:
-            ordered = sorted(live.values(), key=lambda it: (it[0], it[1]))
-            final = ordered[0][2]
-            for item in ordered[1:]:
-                final = final + item[2]
-            return final, err_sum, evals
-        neg_err, idx = heapq.heappop(heap)
-        if idx not in live:
-            continue
+    while err_sum > tol * (1.0 + _value_norm(total)):
         if evals >= budget:
             raise ToleranceNotReached(
                 f"error estimate {err_sum:.3e} above requested {tol:.3e} "
@@ -381,16 +388,20 @@ def _adapt(estimate, boxes, tol, budget, order):
                 achieved=err_sum,
                 evaluations=evals,
             )
-        pid, box, fine, err = live.pop(idx)
+        neg_err, _, pid, box, fine = heapq.heappop(heap)
         total = total - fine
-        err_sum -= err
+        err_sum += neg_err
         children = _split(box)
         for child, (cfine, cerr) in zip(children, measure(children)):
-            live[counter] = (pid, child, cfine, cerr)
-            heapq.heappush(heap, (-cerr, counter))
+            heapq.heappush(heap, (-cerr, next(counter), pid, child, cfine))
             total = total + cfine
             err_sum += cerr
-            counter += 1
+
+    ordered = sorted(heap, key=lambda entry: (entry[2], entry[3]))
+    final = ordered[0][4]
+    for entry in ordered[1:]:
+        final = final + entry[4]
+    return final, err_sum, evals
 
 
 def _cuts(a, b, breaks):
@@ -430,7 +441,7 @@ def _polar_rect_integrate(
         x0, x1, xbreaks = r0, r1, radial_breaks
     estimate = _rule(fn, shape, nodes)
     rects = _seed_rects(x0, x1, xbreaks, t0, t1, angular_breaks)
-    return _adapt(estimate, rects, tol, budget, GAUSS_ORDER)
+    return _adapt(estimate, rects, tol, budget)
 
 
 def _local_polar_integrate(fn, shape, eta, region, tol, budget):
@@ -448,7 +459,7 @@ def _local_polar_integrate(fn, shape, eta, region, tol, budget):
         nodes = _local_polar(eta, center, _tilde_edge(center, region.ratio))
         rects = _seed_rects(0.0, 1.0, (), phi0, phi0 + TWO_PI, ())
     estimate = _rule(fn, shape, nodes)
-    return _adapt(estimate, rects, tol, budget, GAUSS_ORDER)
+    return _adapt(estimate, rects, tol, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +499,7 @@ def radial_integral(
             return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
 
         seg = ((1.0 - b) ** (1.0 / p), (1.0 - a) ** (1.0 / p))
-    value, _, _ = _adapt(
-        _rule(integrand, shape, _line), [seg], tol, budget, GAUSS_ORDER
-    )
+    value, _, _ = _adapt(_rule(integrand, shape, _line), [seg], tol, budget)
     return value if shape else complex(value).real
 
 
@@ -513,7 +522,7 @@ def _profile_mass(profile, eta, singular_exponent, a, b, tol, budget):
             return profile(r) * ((eta + 1.0) * (1.0 - r) ** eta * 2.0 * r)
 
         seg = (a, b)
-    value, _, _ = _adapt(_rule(integrand, (), _line), [seg], tol, budget, GAUSS_ORDER)
+    value, _, _ = _adapt(_rule(integrand, (), _line), [seg], tol, budget)
     return value
 
 
@@ -606,20 +615,16 @@ def integrate(
 
     Returns a Hermitian matrix; positive semidefiniteness of the field
     survives up to roundoff because all quadrature weights are positive.
-    A field with terms takes the band route on the whole disc, Carleson
-    squares and top halves, which are bands of radii times an arc; every
-    other integral reads the evaluator.
+    The whole disc, Carleson squares and top halves are polar rectangles
+    and go through ``integrate_polar_rect``; the other regions read the
+    evaluator.
     """
-    if field.terms is not None and isinstance(
-        region, (WholeDisc, CarlesonSquare, TopHalf)
-    ):
-        r0, r1, t0, t1 = _dyadic_bounds(region)
-        value = (t1 - t0) / TWO_PI * _band(field, r0, r1, spec.eta, tol, budget)
-    else:
-        value = integrate_values(
-            field.evaluator, (field.dim, field.dim), region, spec=spec, tol=tol,
-            budget=budget, singular_exponent=field.singular_exponent,
-        )
+    if isinstance(region, (WholeDisc, CarlesonSquare, TopHalf)):
+        return integrate_polar_rect(field, *_dyadic_bounds(region), spec, tol, budget)
+    value = integrate_values(
+        field.evaluator, (field.dim, field.dim), region, spec=spec, tol=tol,
+        budget=budget, singular_exponent=field.singular_exponent,
+    )
     return 0.5 * (value + value.conj().T)
 
 
@@ -647,40 +652,20 @@ def integrate_polar_rect(
 ) -> np.ndarray:
     """Matrix integral over the polar rectangle [r0, r1] x [t0, t1).
 
-    Used for regions, like the continuous squares of the weight checker,
-    that are polar rectangles without being dyadic.
+    A field with terms takes the band route: (t1 - t0) / 2 pi times the
+    annulus integral from ``_band``, so a full annulus (t0, t1) =
+    (0, 2 pi) is the band itself.  A field without terms runs through the
+    2-D engine on its evaluator.  An empty band, r0 == r1, has mass zero;
+    the radii of dyadic levels above 53 round to it.
     """
-    if not 0.0 <= r0 < r1 <= 1.0:
-        raise ValueError("need 0 <= r0 < r1 <= 1")
-    value, _, _ = _polar_rect_integrate(
-        field.evaluator, (field.dim, field.dim), spec.eta, field.singular_exponent,
-        r0, r1, t0, t1, tol, budget,
-    )
-    value = np.asarray(value)
-    return 0.5 * (value + value.conj().T)
-
-
-def integrate_annulus(
-    field: MatrixField,
-    r0: float,
-    r1: float,
-    spec: MeasureSpec = PLAIN,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-) -> np.ndarray:
-    """Matrix integral over the full annulus r0 <= |z| < r1.
-
-    A field with terms takes the band route; others sweep the whole
-    angle through the 2-D engine.
-    """
-    if not 0.0 <= r0 < r1 <= 1.0:
-        raise ValueError("need 0 <= r0 < r1 <= 1")
+    if not 0.0 <= r0 <= r1 <= 1.0:
+        raise ValueError("need 0 <= r0 <= r1 <= 1")
     if field.terms is not None:
-        value = _band(field, r0, r1, spec.eta, tol, budget)
+        value = (t1 - t0) / TWO_PI * _band(field, r0, r1, spec.eta, tol, budget)
     else:
         value, _, _ = _polar_rect_integrate(
             field.evaluator, (field.dim, field.dim), spec.eta, field.singular_exponent,
-            r0, r1, 0.0, TWO_PI, tol, budget,
+            r0, r1, t0, t1, tol, budget,
         )
         value = np.asarray(value)
     return 0.5 * (value + value.conj().T)

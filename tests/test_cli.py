@@ -204,6 +204,19 @@ def test_report_subcommand_rejects_garbage(tmp_path):
             "measure": {"kind": "random", "dim": 2, "num_atoms": -1},
             "seed": 0,
         },
+        {
+            "version": 1,
+            "kind": "intensity",
+            "measure": {"kind": "random", "dim": 2, "num_atoms": 2.5, "seed": 0},
+            "seed": 0,
+        },
+        {"version": 1, "kind": "b2", "weight": {"kind": "identity", "dim": 1.7}},
+        {
+            "version": 1,
+            "kind": "volterra",
+            "symbol": {"kind": "log", "dim": 1.9},
+            "weight": {"kind": "identity", "dim": 1},
+        },
     ],
     ids=[
         "volterra-dimension-mismatch",
@@ -223,6 +236,9 @@ def test_report_subcommand_rejects_garbage(tmp_path):
         "intensity-negative-density",
         "dyadic-norm-negative-density",
         "random-negative-num-atoms",
+        "random-fractional-num-atoms",
+        "identity-weight-fractional-dim",
+        "log-symbol-fractional-dim",
     ],
 )
 def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):

@@ -13,6 +13,7 @@ from bergman_carleson.dyadic import equivalence_report
 from bergman_carleson.disc_geometry import (
     CarlesonSquare,
     DyadicIndex,
+    HyperbolicDisc,
     TopHalf,
     WholeDisc,
     carleson_square_area,
@@ -37,7 +38,7 @@ from bergman_carleson.measures import (
     random_measure,
     random_unitary,
 )
-from bergman_carleson.quadrature import MatrixField
+from bergman_carleson.quadrature import MatrixField, radial_power_field
 
 
 class TestConstruction:
@@ -333,6 +334,36 @@ class TestUnitaryInvariance:
         b = carleson_intensity(lifted, 5)
         assert a.intensity == pytest.approx(b.intensity, rel=1e-12)
         assert a.tophalf_intensity == pytest.approx(b.tophalf_intensity, rel=1e-12)
+
+    @pytest.mark.parametrize("term", ["function", "power"])
+    def test_densities_without_terms_map_like_their_terms(self, term):
+        # conjugate_measure and lift_scalar_measure keep a generic evaluator
+        # for a density without terms; its masses match the mapped terms
+        def measure(dim, seed):
+            if term == "function":
+                return random_measure(dim, seed=seed, num_atoms=0)
+            m = np.eye(dim) + 0.25 * np.eye(dim, k=1) + 0.25 * np.eye(dim, k=-1)
+            return density_measure(radial_power_field(-0.5, m))
+
+        def without_terms(mu):
+            density = dataclasses.replace(mu.density, terms=None)
+            return MatrixMeasure(dimension=mu.dimension, density=density)
+
+        u = random_unitary(3, seed=29)
+        pairs = []
+        mu = measure(3, 23)
+        pairs.append((conjugate_measure(mu, u), conjugate_measure(without_terms(mu), u)))
+        scalar = measure(1, 31)
+        pairs.append(
+            (lift_scalar_measure(scalar, 4, seed=37), lift_scalar_measure(without_terms(scalar), 4, seed=37))
+        )
+        for with_terms, generic in pairs:
+            assert generic.density.terms is None
+            assert generic.density.singular_exponent == with_terms.density.singular_exponent
+            for region in (HyperbolicDisc(0.5 + 0.25j, 0.5), HyperbolicDisc(-0.9j, 0.3)):
+                np.testing.assert_allclose(
+                    measure_of(generic, region), measure_of(with_terms, region), rtol=1e-12
+                )
 
     def test_random_unitary_is_unitary_and_deterministic(self):
         u = random_unitary(4, seed=1)

@@ -18,6 +18,7 @@ from bergman_carleson.disc_geometry import (
     HyperbolicDisc,
     TildeDisc,
     TopHalf,
+    TWO_PI,
     WholeDisc,
     top_half_area,
 )
@@ -39,15 +40,26 @@ from bergman_carleson.quadrature import (
     constant_field,
     identity_field,
     integrate,
-    integrate_annulus,
     integrate_polar_rect,
     integrate_scalar,
     integrate_values,
     radial_integral,
     radial_power_field,
 )
-from bergman_carleson.measures import random_measure
-from bergman_carleson.weights import weight_from_descriptor
+from bergman_carleson.measures import (
+    conjugate_measure,
+    lift_scalar_measure,
+    measure_from_descriptor,
+    random_measure,
+    random_unitary,
+)
+from bergman_carleson.weights import (
+    BlockWeight,
+    DiagonalPowerWeight,
+    IdentityWeight,
+    ScalarPowerWeight,
+    weight_from_descriptor,
+)
 
 DISC = WholeDisc()
 
@@ -133,7 +145,7 @@ class TestBandRoute:
             got = integrate(field, CarlesonSquare(DyadicIndex(n, n % 2)), spec)
             mass = self.power_mass(s, eta, 1.0 - 2.0**-n, 1.0)
             np.testing.assert_allclose(got, mass * 2.0**-n * self.M, rtol=1e-14)
-        got = integrate_annulus(field, 0.25, 0.75, spec)
+        got = integrate_polar_rect(field, 0.25, 0.75, 0.0, TWO_PI, spec)
         np.testing.assert_allclose(got, self.power_mass(s, eta, 0.25, 0.75) * self.M, rtol=1e-14)
 
     @pytest.mark.parametrize("s, eta", [(0.0, 0.0), (-0.5, 0.0), (2.87, 0.0), (0.5, -0.5), (-0.99, 1.0)])
@@ -151,8 +163,8 @@ class TestBandRoute:
                 integrate(field, region), integrate(generic, region, tol=1e-11), rtol=1e-9
             )
         np.testing.assert_allclose(
-            integrate_annulus(field, 0.25, 1.0),
-            integrate_annulus(generic, 0.25, 1.0, tol=1e-11),
+            integrate_polar_rect(field, 0.25, 1.0, 0.0, TWO_PI),
+            integrate_polar_rect(generic, 0.25, 1.0, 0.0, TWO_PI, tol=1e-11),
             rtol=1e-9,
         )
 
@@ -188,7 +200,8 @@ class TestBandRoute:
             assert p == q and m is n
         for region in (DISC, TopHalf(DyadicIndex(4, 3)), CarlesonSquare(DyadicIndex(2, 0))):
             assert np.array_equal(integrate(copy, region), integrate(field, region))
-        assert np.array_equal(integrate_annulus(copy, 0.5, 1.0), integrate_annulus(field, 0.5, 1.0))
+        for rect in ((0.5, 1.0, 0.0, TWO_PI), (0.3, 0.9, 0.2, 1.1)):
+            assert np.array_equal(integrate_polar_rect(copy, *rect), integrate_polar_rect(field, *rect))
         assert not calls
         region = HyperbolicDisc(0.5 + 0.25j, 0.5)
         assert np.array_equal(integrate(copy, region), integrate(field, region))
@@ -318,10 +331,20 @@ class TestPolarRect:
         expect = (0.81 - 0.09) * 0.9 / (2.0 * math.pi)
         assert got == pytest.approx(expect, rel=1e-12)
 
+    def test_empty_band_has_zero_mass(self):
+        # the radii of the deepest dyadic levels round to r0 == r1 == 1
+        for field in (radial_power_field(-0.5, np.eye(2)), flat_field(2)):
+            for r in (0.5, 1.0):
+                assert not np.any(integrate_polar_rect(field, r, r, 0.0, 1.0))
+            assert not np.any(integrate(field, TopHalf(DyadicIndex(60, 7))))
+        with pytest.raises(ValueError):
+            integrate_polar_rect(flat_field(1), 0.6, 0.5, 0.0, 1.0)
+
     def test_identity_average_is_exact(self):
-        # the matrix and scalar runs share panels, so the ratio is exact
-        num = integrate_polar_rect(identity_field(3), 0.7, 1.0, 0.0, 0.5, MeasureSpec(0.5))
-        den = integrate_polar_rect(identity_field(1), 0.7, 1.0, 0.0, 0.5, MeasureSpec(0.5))
+        # the matrix and scalar runs of the 2-D engine share panels, so the
+        # ratio is exact
+        num = integrate_polar_rect(flat_field(3), 0.7, 1.0, 0.0, 0.5, MeasureSpec(0.5))
+        den = integrate_polar_rect(flat_field(1), 0.7, 1.0, 0.0, 0.5, MeasureSpec(0.5))
         avg = num / den[0, 0].real
         assert np.array_equal(avg, np.eye(3, dtype=complex))
 
@@ -381,6 +404,31 @@ class TestEngineBehavior:
         assert np.array_equal(v, v.conj().T)
 
 
+M2 = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+TILTED = {"kind": "diagonal_power", "exponents": [0.5, -0.5], "seed": 11}
+TERM_FIELDS = {
+    "constant": lambda: constant_field(M2),
+    "radial-power": lambda: radial_power_field(-0.5, M2),
+    "identity-weight": lambda: IdentityWeight(3).field(),
+    "scalar-power-weight": lambda: ScalarPowerWeight(0.5, M2).field(),
+    "diagonal-power-weight": lambda: DiagonalPowerWeight([0.5, -0.5, 1.5]).field(),
+    "tilted-diagonal-power-weight": lambda: weight_from_descriptor(TILTED).field(),
+    "block-weight": lambda: BlockWeight(
+        [ScalarPowerWeight(0.3, M2), weight_from_descriptor(TILTED)]
+    ).field(),
+    "random-density": lambda: random_measure(3, seed=5).density,
+    "lifted-density": lambda: lift_scalar_measure(random_measure(1, seed=2), 4, seed=3).density,
+    "lifted-power-density": lambda: lift_scalar_measure(
+        measure_from_descriptor({"kind": "radial_power_density", "exponent": 1.5, "scale": 2.0}),
+        3,
+        seed=1,
+    ).density,
+    "conjugated-density": lambda: conjugate_measure(
+        random_measure(2, seed=7), random_unitary(2, seed=9)
+    ).density,
+}
+
+
 class TestFieldConstructors:
     def test_constant_field_shape(self):
         f = constant_field(np.diag([2.0, 3.0]))
@@ -398,6 +446,38 @@ class TestFieldConstructors:
             MatrixField(dim=0, evaluator=lambda z: z)
         with pytest.raises(ValueError):
             MatrixField(dim=1, evaluator=lambda z: z, singular_exponent=-1.5)
+        with pytest.raises(ValueError):
+            MatrixField(dim=1)
+
+    def test_singular_exponent_comes_from_the_power_terms(self):
+        assert radial_power_field(2.0, np.eye(1)).singular_exponent == 0.0
+        assert radial_power_field(-0.5, np.eye(1)).singular_exponent == -0.5
+        field = DiagonalPowerWeight([0.5, -0.25, -0.75]).field()
+        assert field.singular_exponent == -0.75
+        # a function term keeps the declared value
+        profile = lambda r: (1.0 - r) ** -0.5  # noqa: E731
+        field = MatrixField(1, singular_exponent=-0.5, terms=((profile, np.eye(1)), (0.5, np.eye(1))))
+        assert field.singular_exponent == -0.5
+        with pytest.raises(ValueError):
+            radial_power_field(-1.0, np.eye(1))
+
+    @pytest.mark.parametrize("name", sorted(TERM_FIELDS))
+    def test_evaluator_is_the_sum_of_the_terms(self, name):
+        # one representation: the evaluator every non-rectangle region
+        # reads equals sum_j phi_j(|z|) M_j, the sum the band route reads;
+        # only the tilted weight still writes its evaluator by hand
+        field = TERM_FIELDS[name]()
+        rng = np.random.default_rng(3)
+        z = rng.uniform(0.0, 0.99, 64) * np.exp(1j * rng.uniform(0.0, TWO_PI, 64))
+        r = np.abs(z)
+        want = sum(
+            np.multiply.outer(p(r) if callable(p) else (1.0 - r) ** p, m)
+            for p, m in field.terms
+        )
+        got = field.evaluator(z)
+        assert got.shape == want.shape == (64, field.dim, field.dim)
+        gap = np.linalg.norm(got - want, axis=(1, 2))
+        assert np.all(gap <= 1e-14 * np.linalg.norm(want, axis=(1, 2)))
 
 
 def _smooth_matrix(z):
@@ -426,12 +506,12 @@ class TestBatchedPanels:
     def test_stack_equals_each_box_alone(self, name):
         nodes, boxes = BATCH_MAPS[name]
         estimate = _rule(_smooth_matrix, (2, 2), nodes)
-        stacked, n = estimate(boxes, GAUSS_ORDER)
+        stacked, n = estimate(boxes)
         assert stacked.shape == (len(boxes), 2, 2)
         per_panel = GAUSS_ORDER ** (len(boxes[0]) // 2)
         assert n == len(boxes) * per_panel
         for k, box in enumerate(boxes):
-            alone, m = estimate([box], GAUSS_ORDER)
+            alone, m = estimate([box])
             assert m == per_panel
             assert np.array_equal(stacked[k], alone[0])
             for a, b in zip(stacked[k].ravel(), alone[0].ravel()):

@@ -67,6 +67,20 @@ class TestPointwiseCondition:
         for (_, a), (_, b) in zip(plain.values, conj.values):
             assert b == pytest.approx(a, rel=1e-10)
 
+    def test_log_symbol_values_and_derivative(self):
+        z = np.array([0.0, 0.5, -0.3 + 0.4j, 0.9j, 0.99 - 0.01j])
+        values = LogSymbol(2)(z)
+        expected = np.log(1.0 / (1.0 - z))
+        assert values.shape == (5, 2, 2)
+        np.testing.assert_allclose(values[:, 0, 0], expected, rtol=1e-14, atol=1e-16)
+        np.testing.assert_array_equal(values[:, 0, 1], 0.0)
+        np.testing.assert_array_equal(values[:, 1, 1], values[:, 0, 0])
+        # central difference along the real and imaginary axes
+        symbol, h = LogSymbol(1), 1e-6
+        for step in (h, 1j * h):
+            diff = (symbol(z + step) - symbol(z - step))[:, 0, 0] / (2.0 * step)
+            np.testing.assert_allclose(symbol.derivative_at(z)[:, 0, 0], diff, rtol=1e-7)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             volterra_condition(LogSymbol(), IdentityWeight(1), lambda_grid=())
