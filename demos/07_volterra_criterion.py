@@ -37,7 +37,9 @@ for lam, value in log_report.values:
     print(f"  center {lam.real:.6f}: {value:.12f}")
 
 # Integral form for the linear symbol: the average of |z'|^2 over a
-# disc of relative aperture 1/2 is (gap/2)^2.
+# disc of relative aperture 1/2 is (gap/2)^2.  Polynomial and log
+# symbols have their disc moments in closed form, so these values are
+# exact up to roundoff; the quadrature remains the second route.
 integral = volterra_integral_condition(linear, IdentityWeight(1), lambda_grid=radial)
 print("\nlinear symbol integral values (expect gap^2/4)")
 for lam, value in integral.values[:4]:

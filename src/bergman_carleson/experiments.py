@@ -206,10 +206,14 @@ def _symbol_field(desc: Mapping):
         if kind == "radial_power":
             dim = _integer(desc.get("dim", 1), "dim")
             scale = float(desc.get("scale", 1.0))
-            return radial_power_field(float(desc["exponent"]), scale * np.eye(dim))
-        return constant_field(_decode_matrix(desc["matrix"]))
+            field = radial_power_field(float(desc["exponent"]), scale * np.eye(dim))
+        else:
+            field = constant_field(_decode_matrix(desc["matrix"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError(f"bad symbol descriptor: {exc}") from exc
+    # a zero symbol has no growth to fit
+    _require(any(np.any(m) for _, m in field.terms), "symbol is zero")
+    return field
 
 
 def _volterra_symbol(desc: Mapping):
@@ -220,9 +224,12 @@ def _volterra_symbol(desc: Mapping):
         if kind == "log":
             return LogSymbol(_integer(desc.get("dim", 1), "dim"))
         coeffs = np.stack([_decode_matrix(c) for c in desc["coefficients"]])
-        return OperatorPoly(dimension=coeffs.shape[1], coefficients=coeffs)
+        symbol = OperatorPoly(dimension=coeffs.shape[1], coefficients=coeffs)
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError(f"bad volterra symbol descriptor: {exc}") from exc
+    # both forms of the criterion vanish for a constant symbol
+    _require(np.any(symbol.derivative().coefficients), "volterra symbol is constant")
+    return symbol
 
 
 def _measure_or_error(desc: Mapping):
@@ -523,8 +530,12 @@ def _run_volterra(s: Mapping) -> dict:
         "consistency_max_ratio": consistency.max_ratio,
         "recorded_constant": consistency.theoretical_bound,
         "ratio": ratio,
+        "integral_route_gap": consistency.integral_route_gap,
     }
-    report["invariants"] = {"subharmonic_bound": bool(consistency.satisfied)}
+    report["invariants"] = {
+        "subharmonic_bound": bool(consistency.satisfied),
+        "integral_routes_agree": bool(consistency.integral_route_gap < 1e-9),
+    }
     report["curve"] = {
         "columns": ["gap", "pointwise", "integral"],
         "rows": rows,
@@ -591,10 +602,10 @@ def run_scenario(source, out_root=None) -> Path:
     """Execute one scenario and persist its artifacts.
 
     ``source`` is a scenario file path or an already-loaded mapping.
-    Returns the run directory.  Nothing is written unless validation
-    and computation both succeed, and the run directory appears whole:
-    the artifacts go to ``<run>.tmp``, renamed once ``manifest.json`` is
-    written.  A failed write removes the staging directory and every
+    Returns the run directory.  Nothing is written unless validation,
+    computation and rendering all succeed, and the run directory
+    appears whole: the artifacts go to ``<run>.tmp``, renamed once
+    ``manifest.json`` is written.  A failed write removes the staging directory and every
     directory the run created, and raises ScenarioError.
     """
     if isinstance(source, Mapping):
@@ -606,19 +617,22 @@ def run_scenario(source, out_root=None) -> Path:
     started = time.perf_counter()
     report = build_report(scenario)
     wall = time.perf_counter() - started
+    # rendered before any directory exists, so a rendering error leaves none
+    artifacts = {
+        "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
+        "curves.csv": curves_csv(report),
+    }
+    plot_emitted = len(report["curve"]["rows"]) >= 2
+    if plot_emitted:
+        artifacts["plot.svg"] = chart_from_report(report)
     base = output_root(out_root) / scenario["kind"]
     # deepest first, so each is empty by the time it is removed
     created = [p for p in (base, *base.parents) if not p.exists()]
     staging = None
     try:
         run_dir, staging = _staged_run_dir(base, scenario["seed"])
-        (staging / "report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n"
-        )
-        (staging / "curves.csv").write_text(curves_csv(report))
-        plot_emitted = len(report["curve"]["rows"]) >= 2
-        if plot_emitted:
-            (staging / "plot.svg").write_text(chart_from_report(report))
+        for name, text in artifacts.items():
+            (staging / name).write_text(text)
         manifest = {
             "package_version": __version__,
             "wall_clock_seconds": wall,

@@ -8,6 +8,13 @@ mean-value subharmonicity makes the pointwise form controlled by the
 integral one with constant 1/ratio**2, and that inequality is checked,
 not assumed.  Both forms read the same weight average at each grid
 point, and the consistency check computes each average once.
+
+The disc integral of the integral form has a closed form for the log
+symbol and for polynomial symbols: the monomials (z - c)**k are
+orthogonal on a disc about c, so it is a sum of Taylor coefficient
+moments.  Any other symbol goes through the adaptive quadrature, which
+also stays as the second route: the consistency check recomputes the
+integral sup by quadrature and reports the relative gap.
 """
 
 from __future__ import annotations
@@ -52,9 +59,10 @@ def _derivative_fn(symbol) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
     raise TypeError(f"cannot differentiate {type(symbol).__name__}")
 
 
-def _grid_and_derivative(symbol, weight, ratio, lambda_grid):
+def _prepare(symbol, weight, ratio, lambda_grid, tol):
     """The grid (default for the ratio), the symbol dimension and its
-    derivative, after the checks every form of the criterion shares."""
+    derivative, and the weight average at each grid point, after the
+    checks every form of the criterion shares."""
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(ratio)
     if not lambda_grid:
@@ -62,7 +70,8 @@ def _grid_and_derivative(symbol, weight, ratio, lambda_grid):
     dim, deriv = _derivative_fn(symbol)
     if getattr(weight, "dim", dim) != dim:
         raise ValueError("weight and symbol dimensions differ")
-    return lambda_grid, dim, deriv
+    avgs = [averaged_weight(weight, lam, ratio, tol=tol) for lam in lambda_grid]
+    return lambda_grid, dim, deriv, avgs
 
 
 def _pointwise_value(deriv, lam, avg) -> float:
@@ -70,13 +79,49 @@ def _pointwise_value(deriv, lam, avg) -> float:
     return (1.0 - abs(lam)) * op_norm(conjugated)
 
 
-def _integral_value(deriv, dim, lam, avg, ratio, tol) -> float:
+def _closed_moment(symbol, lam, avg, ratio) -> np.ndarray | None:
+    """The disc moment of ``_quadrature_moment`` in closed form, or None
+    for a symbol without one.
+
+    With g'(z) = sum_k G_k (z - lam)**k about the centre, orthogonality
+    of the monomials on D(lam, rho) gives
+    sum_k G_k^H A G_k rho**(2k+2) / (k+1).
+    """
+    rho = ratio * (1.0 - abs(lam))
+    if isinstance(symbol, LogSymbol):
+        # G_k = I / (1 - lam)**(k+1): the series sums to a logarithm
+        q = rho / abs(1.0 - lam)
+        return -math.log1p(-q * q) * avg
+    if isinstance(symbol, OperatorPoly):
+        coeffs = symbol.derivative().coefficients
+        n = coeffs.shape[0]
+        # G_k = sum_{j >= k} C(j, k) lam**(j-k) D_j, the Taylor shift
+        shift = np.array(
+            [
+                [math.comb(j, k) * lam ** (j - k) if j >= k else 0.0 for j in range(n)]
+                for k in range(n)
+            ]
+        )
+        taylor = np.einsum("kj,jab->kab", shift, coeffs)
+        k = np.arange(n)
+        mass = rho ** (2 * k + 2) / (k + 1)
+        return np.einsum("k,kji,jl,klm->im", mass, taylor.conj(), avg, taylor)
+    return None
+
+
+def _quadrature_moment(deriv, dim, lam, avg, ratio, tol) -> np.ndarray:
+    """The integral of g'^H A g' dA/pi over D(lam, ratio*(1-|lam|)) by
+    adaptive quadrature."""
+
     def fn(z):
         g = deriv(z)
         return np.einsum("mji,jk,mkl->mil", np.conj(g), avg, g)
 
     disc = HyperbolicDisc(center=lam, ratio=ratio)
-    inner = integrate_values(fn, (dim, dim), disc, PLAIN, tol=tol)
+    return integrate_values(fn, (dim, dim), disc, PLAIN, tol=tol)
+
+
+def _integral_value(inner, avg) -> float:
     inner = 0.5 * (inner + inner.conj().T)
     return op_norm(sandwich(psd_inv_sqrt(avg), inner))
 
@@ -88,6 +133,23 @@ def _grid_report(values) -> GridReport:
         if value > best[0]:
             best = (value, lam)
     return GridReport(sup_value=best[0], argmax_point=best[1], values=tuple(values))
+
+
+def _pointwise_report(deriv, grid, avgs) -> GridReport:
+    return _grid_report(
+        [(lam, _pointwise_value(deriv, lam, avg)) for lam, avg in zip(grid, avgs)]
+    )
+
+
+def _integral_report(symbol, deriv, dim, grid, avgs, ratio, tol) -> GridReport:
+    """The closed form where the symbol has one, else the quadrature."""
+    values = []
+    for lam, avg in zip(grid, avgs):
+        inner = _closed_moment(symbol, lam, avg, ratio)
+        if inner is None:
+            inner = _quadrature_moment(deriv, dim, lam, avg, ratio, tol)
+        values.append((lam, _integral_value(inner, avg)))
+    return _grid_report(values)
 
 
 def volterra_condition(
@@ -104,12 +166,8 @@ def volterra_condition(
     of the local mean, so the criterion does not depend on the eta of
     the ambient space.
     """
-    grid, _, deriv = _grid_and_derivative(symbol, weight, ratio, lambda_grid)
-    values = []
-    for lam in grid:
-        avg = averaged_weight(weight, lam, ratio, tol=tol)
-        values.append((lam, _pointwise_value(deriv, lam, avg)))
-    return _grid_report(values)
+    grid, _, deriv, avgs = _prepare(symbol, weight, ratio, lambda_grid, tol)
+    return _pointwise_report(deriv, grid, avgs)
 
 
 def volterra_integral_condition(
@@ -121,12 +179,8 @@ def volterra_integral_condition(
 ) -> GridReport:
     """Integral form: disc average of the conjugated symbol derivative
     in the square mean, sup over the grid."""
-    grid, dim, deriv = _grid_and_derivative(symbol, weight, ratio, lambda_grid)
-    values = []
-    for lam in grid:
-        avg = averaged_weight(weight, lam, ratio, tol=tol)
-        values.append((lam, _integral_value(deriv, dim, lam, avg, ratio, tol)))
-    return _grid_report(values)
+    grid, dim, deriv, avgs = _prepare(symbol, weight, ratio, lambda_grid, tol)
+    return _integral_report(symbol, deriv, dim, grid, avgs, ratio, tol)
 
 
 @dataclass(frozen=True)
@@ -135,7 +189,8 @@ class ConsistencyReport:
 
     ``max_ratio`` is the largest observed gap**2 * pointwise**2 over
     integral; subharmonicity caps it by ``theoretical_bound`` =
-    1/ratio**2.
+    1/ratio**2.  ``integral_route_gap`` is the relative gap between the
+    integral sup and the quadrature route at its argmax point.
     """
 
     pointwise: GridReport
@@ -143,6 +198,7 @@ class ConsistencyReport:
     max_ratio: float
     theoretical_bound: float
     ratio_parameter: float
+    integral_route_gap: float
 
     @property
     def satisfied(self) -> bool:
@@ -156,18 +212,11 @@ def volterra_consistency(
     lambda_grid: Sequence[complex] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> ConsistencyReport:
-    """Both forms on one grid, from one weight average per grid point."""
-    grid, dim, deriv = _grid_and_derivative(symbol, weight, ratio, lambda_grid)
-    avgs = [averaged_weight(weight, lam, ratio, tol=tol) for lam in grid]
-    pointwise = _grid_report(
-        [(lam, _pointwise_value(deriv, lam, avg)) for lam, avg in zip(grid, avgs)]
-    )
-    integral = _grid_report(
-        [
-            (lam, _integral_value(deriv, dim, lam, avg, ratio, tol))
-            for lam, avg in zip(grid, avgs)
-        ]
-    )
+    """Both forms on one grid, from one weight average per grid point,
+    and the integral sup again by quadrature."""
+    grid, dim, deriv, avgs = _prepare(symbol, weight, ratio, lambda_grid, tol)
+    pointwise = _pointwise_report(deriv, grid, avgs)
+    integral = _integral_report(symbol, deriv, dim, grid, avgs, ratio, tol)
     worst = 0.0
     for (lam, s), (_, i) in zip(pointwise.values, integral.values):
         gap = 1.0 - abs(lam)
@@ -176,12 +225,18 @@ def volterra_consistency(
                 raise ArithmeticError("pointwise value without integral mass")
             continue
         worst = max(worst, gap * gap * s * s / i)
+    lam = integral.argmax_point
+    avg = avgs[grid.index(lam)]
+    second = _integral_value(_quadrature_moment(deriv, dim, lam, avg, ratio, tol), avg)
+    top = integral.sup_value
+    route_gap = abs(top - second) / max(abs(top), abs(second)) if top != second else 0.0
     return ConsistencyReport(
         pointwise=pointwise,
         integral=integral,
         max_ratio=worst,
         theoretical_bound=1.0 / (ratio * ratio),
         ratio_parameter=ratio,
+        integral_route_gap=route_gap,
     )
 
 

@@ -217,6 +217,30 @@ def test_report_subcommand_rejects_garbage(tmp_path):
             "symbol": {"kind": "log", "dim": 1.9},
             "weight": {"kind": "identity", "dim": 1},
         },
+        {
+            "version": 1,
+            "kind": "volterra",
+            "symbol": {"kind": "poly", "coefficients": [[[1.0]]]},
+            "weight": {"kind": "identity", "dim": 1},
+        },
+        {
+            "version": 1,
+            "kind": "volterra",
+            "symbol": {"kind": "poly", "coefficients": [[[0.0]], [[0.0]]]},
+            "weight": {"kind": "identity", "dim": 1},
+        },
+        {
+            "version": 1,
+            "kind": "embed",
+            "symbol": {"kind": "constant", "matrix": [[0.0]]},
+            "weight": {"kind": "identity", "dim": 1},
+        },
+        {
+            "version": 1,
+            "kind": "embed",
+            "symbol": {"kind": "radial_power", "exponent": -0.5, "scale": 0},
+            "weight": {"kind": "identity", "dim": 1},
+        },
     ],
     ids=[
         "volterra-dimension-mismatch",
@@ -239,6 +263,10 @@ def test_report_subcommand_rejects_garbage(tmp_path):
         "random-fractional-num-atoms",
         "identity-weight-fractional-dim",
         "log-symbol-fractional-dim",
+        "volterra-constant-poly-symbol",
+        "volterra-zero-poly-symbol",
+        "embed-zero-constant-symbol",
+        "embed-zero-radial-power-symbol",
     ],
 )
 def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):

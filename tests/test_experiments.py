@@ -265,6 +265,15 @@ class TestRunScenario:
             run_scenario(dict(EQUIVALENCE_ATOM, version="x"), out_root=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_rendering_error_writes_nothing(self, tmp_path, monkeypatch):
+        def failing(report):
+            raise ValueError("cannot draw")
+
+        monkeypatch.setattr(experiments, "chart_from_report", failing)
+        with pytest.raises(ValueError, match="cannot draw"):
+            run_scenario(EQUIVALENCE_ATOM, out_root=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_rerun_from_echo_reproduces_report(self, tmp_path):
         first = run_scenario(EQUIVALENCE_ATOM, out_root=tmp_path)
         echo = json.loads((first / "report.json").read_text())["scenario"]
@@ -363,7 +372,9 @@ class TestReports:
         )
         assert report["results"]["pointwise_sup"] == 1.0
         assert report["results"]["recorded_constant"] == 4.0
+        assert report["results"]["integral_route_gap"] < 1e-12
         assert report["invariants"]["subharmonic_bound"]
+        assert report["invariants"]["integral_routes_agree"]
 
     def test_csv_serialization_roundtrips(self):
         report = {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bergman_carleson import volterra
-from bergman_carleson.analytic import OperatorPoly
+from bergman_carleson.analytic import OperatorPoly, default_lambda_grid
 from bergman_carleson.volterra import (
     ConsistencyReport,
     LogSymbol,
@@ -13,9 +13,33 @@ from bergman_carleson.volterra import (
     volterra_consistency,
     volterra_integral_condition,
 )
-from bergman_carleson.weights import DiagonalPowerWeight, IdentityWeight
+from bergman_carleson.weights import (
+    DiagonalPowerWeight,
+    IdentityWeight,
+    averaged_weight,
+    weight_from_descriptor,
+)
 
 RADIAL_GRID = tuple(1.0 - 2.0**-j + 0j for j in range(11))
+# the grid and the tilted weight of scenarios/volterra_log.yaml
+LOG_SCENARIO_GRID = default_lambda_grid(0.5, max_level=9, angles=8)
+
+
+def _tilted_weight():
+    return weight_from_descriptor(
+        {"kind": "diagonal_power", "exponents": [0.5, -0.5], "seed": 11}
+    )
+
+
+def _seeded_cubic() -> OperatorPoly:
+    rng = np.random.default_rng(3)
+    return OperatorPoly(2, rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))
+
+
+@pytest.fixture(scope="module")
+def tilted_averages():
+    weight = _tilted_weight()
+    return [averaged_weight(weight, lam, 0.5) for lam in LOG_SCENARIO_GRID]
 
 
 class TestPointwiseCondition:
@@ -109,6 +133,69 @@ class TestIntegralCondition:
         assert np.isfinite(integral.sup_value)
         assert integral.sup_value <= 10.0 * pointwise.sup_value**2
         assert pointwise.sup_value**2 <= 10.0 * integral.sup_value / 0.25
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "symbol, tilted",
+        [
+            (LogSymbol(1), False),
+            (LogSymbol(2), True),
+            (OperatorPoly.linear_identity(2), False),
+            (_seeded_cubic(), True),
+        ],
+        ids=["log-d1-identity", "log-d2-tilted", "linear-d2-identity", "cubic-d2-tilted"],
+    )
+    def test_matches_the_quadrature_route(self, symbol, tilted, tilted_averages):
+        dim, deriv = volterra._derivative_fn(symbol)
+        if tilted:
+            avgs = tilted_averages
+        else:
+            avgs = [averaged_weight(IdentityWeight(dim), lam, 0.5) for lam in LOG_SCENARIO_GRID]
+        for lam, avg in zip(LOG_SCENARIO_GRID, avgs):
+            closed = volterra._closed_moment(symbol, lam, avg, 0.5)
+            quad = volterra._quadrature_moment(deriv, dim, lam, avg, 0.5, volterra.DEFAULT_TOL)
+            assert np.abs(closed - quad).max() <= 1e-12 * np.abs(quad).max(), lam
+            assert volterra._integral_value(closed, avg) == pytest.approx(
+                volterra._integral_value(quad, avg), rel=1e-12
+            ), lam
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.25])
+    def test_log_symbol_on_the_positive_real_axis(self, ratio):
+        # rho / |1 - lam| equals the ratio there, so every value is the same
+        report = volterra_integral_condition(
+            LogSymbol(), IdentityWeight(1), ratio=ratio, lambda_grid=RADIAL_GRID
+        )
+        for _, value in report.values:
+            assert abs(value + np.log(1.0 - ratio * ratio)) <= 1e-14
+
+    def test_constant_polynomial_has_zero_integral(self):
+        symbol = OperatorPoly(2, np.array([[[2.0, 1.0j], [-1.0j, 3.0]]]))
+        report = volterra_consistency(symbol, _tilted_weight(), lambda_grid=RADIAL_GRID[:4])
+        assert all(value == 0.0 for _, value in report.integral.values)
+        assert report.integral_route_gap == 0.0
+
+    def test_route_gap_on_the_log_scenario(self):
+        report = volterra_consistency(
+            LogSymbol(2), _tilted_weight(), ratio=0.5, lambda_grid=LOG_SCENARIO_GRID
+        )
+        assert report.integral.argmax_point == 0.1 + 0j
+        assert 0.0 <= report.integral_route_gap < 1e-12
+
+    def test_symbol_without_closed_form_uses_the_quadrature(self):
+        class OpaqueLog:
+            """The log symbol behind an interface the closed form does not know."""
+
+            dimension = 1
+
+            def derivative_at(self, z):
+                return LogSymbol(1).derivative_at(z)
+
+        grid = RADIAL_GRID[:4]
+        plain = volterra_integral_condition(LogSymbol(), IdentityWeight(1), lambda_grid=grid)
+        generic = volterra_integral_condition(OpaqueLog(), IdentityWeight(1), lambda_grid=grid)
+        for (_, a), (_, b) in zip(plain.values, generic.values):
+            assert b == pytest.approx(a, rel=1e-12)
 
 
 class TestConsistency:
