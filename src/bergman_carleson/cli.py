@@ -139,11 +139,12 @@ def _handle_report(args) -> int:
     for key in sorted(report.get("invariants", {})):
         print(f"  invariant {key}: {report['invariants'][key]}")
     rows = (report.get("curve") or {}).get("rows") or []
-    if len(rows) >= 2:
+    svg = chart_from_report(report) if len(rows) >= 2 else None
+    if svg is not None:
         out_dir = args.out if args.out is not None else path.parent
         out_dir.mkdir(parents=True, exist_ok=True)
         target = out_dir / "plot.svg"
-        target.write_text(chart_from_report(report))
+        target.write_text(svg)
         print(f"plot: {target}")
     return 0
 

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: Deepest level for which dyadic areas are trusted in double precision.
+#: Deepest dyadic level.  Areas are closed forms in h = 2**-n and
+#: quadrature takes a region's band in exact u = 1 - |z|, so both hold in
+#: double precision at every level up to this one.
 MAX_LEVEL = 60
 
 
@@ -63,11 +65,6 @@ class DyadicIndex:
         if self.level == 0:
             return None
         return DyadicIndex(self.level - 1, self.position // 2)
-
-
-def dyadic_children(index: DyadicIndex) -> tuple[DyadicIndex, DyadicIndex]:
-    """Children of a dyadic arc; the two half-arcs one level deeper."""
-    return index.children()
 
 
 def row_index(row: int) -> DyadicIndex:
@@ -308,9 +305,3 @@ def top_half_cover(disc: HyperbolicDisc) -> list[DyadicIndex]:
         for k in range(k_lo, k_hi + 1):
             out.add(DyadicIndex(n, k % size))
     return sorted(out)
-
-
-def level_cells(level: int) -> Iterator[DyadicIndex]:
-    """All dyadic indices of one level, position increasing."""
-    for k in range(2 ** level):
-        yield DyadicIndex(level, k)

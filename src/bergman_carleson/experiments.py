@@ -622,9 +622,10 @@ def run_scenario(source, out_root=None) -> Path:
         "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
         "curves.csv": curves_csv(report),
     }
-    plot_emitted = len(report["curve"]["rows"]) >= 2
+    svg = chart_from_report(report) if len(report["curve"]["rows"]) >= 2 else None
+    plot_emitted = svg is not None
     if plot_emitted:
-        artifacts["plot.svg"] = chart_from_report(report)
+        artifacts["plot.svg"] = svg
     base = output_root(out_root) / scenario["kind"]
     # deepest first, so each is empty by the time it is removed
     created = [p for p in (base, *base.parents) if not p.exists()]

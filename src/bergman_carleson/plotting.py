@@ -161,8 +161,13 @@ def render_line_chart(
     return "\n".join(out) + "\n"
 
 
-def chart_from_report(report: Mapping) -> str:
-    """Build the chart for a report's curve using its plot hints."""
+def chart_from_report(report: Mapping) -> str | None:
+    """Build the chart for a report's curve using its plot hints.
+
+    On log axes a point with a coordinate <= 0 is left off the chart (it
+    stays in the report and the CSV), and a series left with fewer than
+    two points is dropped.  Returns None when no series is left.
+    """
     curve = report.get("curve") or {}
     columns = curve.get("columns") or []
     rows = curve.get("rows") or []
@@ -171,21 +176,23 @@ def chart_from_report(report: Mapping) -> str:
     if len(rows) < 2:
         raise ValueError("need at least two curve points to plot")
     hints = report.get("plot") or {}
+    loglog = bool(hints.get("loglog", False))
     y_columns = hints.get("y_columns") or columns[1:]
     series = []
     for name in y_columns:
         j = columns.index(name)
-        series.append(
-            Series(
-                name=name,
-                points=tuple((float(r[0]), float(r[j])) for r in rows),
-            )
-        )
+        points = tuple((float(r[0]), float(r[j])) for r in rows)
+        if loglog:
+            points = tuple(p for p in points if p[0] > 0.0 and p[1] > 0.0)
+        if len(points) >= 2:
+            series.append(Series(name=name, points=points))
+    if not series:
+        return None
     return render_line_chart(
         series,
         title=hints.get("title", report.get("kind", "curve")),
         xlabel=hints.get("xlabel", columns[0]),
         ylabel=hints.get("ylabel", "value"),
-        loglog=bool(hints.get("loglog", False)),
+        loglog=loglog,
         slope_annotation=hints.get("slope"),
     )

@@ -12,32 +12,38 @@ along every axis until the summed indicators drop below
 ``tol * (1 + |result|)`` or the evaluation budget runs out, in which case
 :class:`ToleranceNotReached` carries the best estimate out.
 
+Polar rectangles are bands in the exact coordinate u = 1 - |z|: the
+region u_out < 1 - |z| <= u_in, t0 <= arg z < t1.  A level-n top half
+is the band (2**-n, 2**-(n+1)), a Carleson square (2**-n, 0) and the
+whole disc (1, 0), each exact at every level, although 1 - 2**-n rounds
+to 1 from level 54 on; ``integrate_polar_rect`` takes radii and converts
+them to u once.
+
 A field that carries ``terms``, a sum of radial profiles times constant
 matrices (see :class:`MatrixField`), takes one band route on every polar
-rectangle r0 <= |z| < r1, t0 <= arg z < t1: the whole disc, Carleson
-squares, top halves, annuli and the squares of the weight checker.  Its
-integral is (t1 - t0) / 2 pi times the band mass of the annulus.  A
-power term's mass is taken in closed form and a function term's mass
-from the engine on its scalar profile over a segment; the result is the
-sum of mass times matrix, so the cost does not grow with the dimension
-and the evaluator is never called.  Every other region, and every field
-without terms, goes through the evaluator.
+rectangle: the whole disc, Carleson squares, top halves, annuli and the
+squares of the weight checker.  Its integral is (t1 - t0) / 2 pi times
+the band mass.  A power term's mass is taken in closed form at u_in and
+u_out, and a function term's mass from the engine on its scalar profile
+over a segment; the result is the sum of mass times matrix, so the cost
+does not grow with the dimension and the evaluator is never called.
+Every other region, and every field without terms, goes through the
+evaluator.
 
-The maps are polar rectangles (r, t) -> r e^{it} for the dyadic regions
-and annuli, local polar rectangles about the center of a HyperbolicDisc,
-and the exact TildeDisc map (t, phi) -> c + t s*(phi) e^{i phi} with
-t in [0, 1] and Jacobian t s*(phi)**2.  Its edge is
-s*(phi) = C / (B + sqrt(B**2 - A C)) with A = 1/rho**2 - 1,
-B = 1/rho + Re(conj(c) e^{i phi}) and C = 1 - |c|**2, so every node lies
-in the region and the integrand stays smooth up to the edge.
-
-Panels that touch |z| = 1 while the integrand carries a radial power
-(1-|z|)**q with q != 0 are integrated in the substituted variable u
-with 1-r = u**p, where the integer p is chosen so that the transplanted
-power p*(1+q)-1 of u is a non-negative integer whenever q is rational
-with a moderate denominator.  The radial factor then turns into a
-polynomial and integrable singularities (q > -1) converge at the
-smooth-panel rate instead of stalling the refinement loop.
+Every polar rectangle uses one map, (v, t) -> (1 - v**p) e^{it} with
+u = v**p.  The integer p is chosen from the combined exponent q of the
+measure and the field's declared boundary power (1-|z|)**s, q = eta + s,
+so that the transplanted power p*(1+q)-1 of v is a non-negative integer
+whenever q is rational with a moderate denominator; q = 0 gives p = 1.
+The radial factor then turns into a polynomial and integrable
+singularities (q > -1) converge at the smooth-panel rate instead of
+stalling the refinement loop.  The other maps are local polar rectangles
+about the center of a HyperbolicDisc and the exact TildeDisc map
+(t, phi) -> c + t s*(phi) e^{i phi} with t in [0, 1] and Jacobian
+t s*(phi)**2.  Its edge is s*(phi) = C / (B + sqrt(B**2 - A C)) with
+A = 1/rho**2 - 1, B = 1/rho + Re(conj(c) e^{i phi}) and C = 1 - |c|**2,
+so every node lies in the region and the integrand stays smooth up to
+the edge.
 
 Panels are evaluated in batches: a box is measured together with its
 children, the seeds in one sweep and the children of each refined box in
@@ -82,7 +88,7 @@ GAUSS_ORDER = 10
 #: receives; a panel larger than that is evaluated alone.
 BATCH_ENTRIES = 2 ** 14
 #: Points mapped closer to the boundary than this are clamped before the
-#: field evaluator sees them; keeps substituted panels clear of 1-|z| == 0.
+#: field evaluator or a profile reads r; keeps panels clear of 1-|z| == 0.
 _BOUNDARY_CLAMP = 1e-15
 
 
@@ -237,24 +243,6 @@ def _line(boxes):
     return x, (w,), "pi,pi...->p..."
 
 
-def _polar_nodes(r, radial_w, t0, t1):
-    t, wt = _panel_nodes(t0, t1)
-    z = r[:, :, None] * np.exp(1j * t)[:, None, :]
-    return z, (radial_w, wt), "pi,pj,pij...->p..."
-
-
-def _polar(eta):
-    """Polar rectangles in plain (r, t) coordinates."""
-
-    def nodes(boxes):
-        r0, r1, t0, t1 = boxes.T
-        r, wr = _panel_nodes(r0, r1)
-        radial_w = wr * (eta + 1.0) * (1.0 - r) ** eta * r / math.pi
-        return _polar_nodes(r, radial_w, t0, t1)
-
-    return nodes
-
-
 def _power_substitution(q: float) -> int:
     """Integer p for the boundary substitution 1-r = u**p.
 
@@ -271,22 +259,22 @@ def _power_substitution(q: float) -> int:
     return max(1, math.ceil(1.0 / power))
 
 
-def _substituted_polar(eta, p):
-    """Polar rectangle in (u, t) with 1 - r = u**p.
+def _polar(eta, p):
+    """Polar rectangles in (v, t) with 1 - |z| = u = v**p.
 
-    The measure factor (eta+1)*(1-r)**eta dr becomes
-    (eta+1)*p*u**(p*(1+eta)-1) du, exact powers of u.  A field carrying
-    (1-|z|)**s contributes u**(p*s) through its evaluator, and p is
-    chosen from the combined exponent q = eta + s so the product seen by
-    the quadrature nodes is smooth.
+    The measure factor (eta+1)*(1-r)**eta r dr becomes
+    (eta+1)*p*v**(p*(1+eta)-1) r dv, exact powers of v; see the module
+    docstring for the choice of p.
     """
 
     def nodes(boxes):
-        u0, u1, t0, t1 = boxes.T
-        u, wu = _panel_nodes(u0, u1)
-        r = np.minimum(1.0 - u ** p, 1.0 - _BOUNDARY_CLAMP)
-        radial_w = wu * (eta + 1.0) * p * u ** (p * (1.0 + eta) - 1.0) * r / math.pi
-        return _polar_nodes(r, radial_w, t0, t1)
+        v0, v1, t0, t1 = boxes.T
+        v, wv = _panel_nodes(v0, v1)
+        r = np.minimum(1.0 - v ** p, 1.0 - _BOUNDARY_CLAMP)
+        radial_w = wv * (eta + 1.0) * p * v ** (p * (1.0 + eta) - 1.0) * r / math.pi
+        t, wt = _panel_nodes(t0, t1)
+        z = r[:, :, None] * np.exp(1j * t)[:, None, :]
+        return z, (radial_w, wt), "pi,pj,pij...->p..."
 
     return nodes
 
@@ -426,21 +414,15 @@ def _seed_rects(x0, x1, xbreaks, y0, y1, ybreaks, max_y_span=0.5 * math.pi):
 
 
 def _polar_rect_integrate(
-    fn, shape, eta, singular_exponent, r0, r1, t0, t1, tol, budget,
+    fn, shape, eta, singular_exponent, u_in, u_out, t0, t1, tol, budget,
     radial_breaks=(), angular_breaks=(),
 ):
-    q = eta + singular_exponent
-    if q != 0.0 and r1 >= 1.0 - 1e-14:
-        p = _power_substitution(q)
-        nodes = _substituted_polar(eta, p)
-        inv_p = 1.0 / p
-        x0, x1 = 0.0, (1.0 - r0) ** inv_p
-        xbreaks = [(1.0 - rb) ** inv_p for rb in radial_breaks if r0 < rb < r1]
-    else:
-        nodes = _polar(eta)
-        x0, x1, xbreaks = r0, r1, radial_breaks
-    estimate = _rule(fn, shape, nodes)
-    rects = _seed_rects(x0, x1, xbreaks, t0, t1, angular_breaks)
+    """The band u_out < 1-|z| <= u_in, t0 <= arg z < t1, seeded in v = u**(1/p)."""
+    p = _power_substitution(eta + singular_exponent)
+    inv_p = 1.0 / p
+    vbreaks = [(1.0 - rb) ** inv_p for rb in radial_breaks if u_out < 1.0 - rb < u_in]
+    estimate = _rule(fn, shape, _polar(eta, p))
+    rects = _seed_rects(u_out ** inv_p, u_in ** inv_p, vbreaks, t0, t1, angular_breaks)
     return _adapt(estimate, rects, tol, budget)
 
 
@@ -487,60 +469,62 @@ def radial_integral(
         raise ValueError("need a < b <= 1")
     probe = np.asarray(fn(np.array([0.5 * (a + b)])))
     shape = probe.shape[1:]
-    if q == 0.0:
-        integrand, seg = fn, (a, b)
-    else:
-        p = _power_substitution(q)
-        alpha = p * (1.0 + q) - 1.0
+    p = _power_substitution(q)
+    alpha = p * (1.0 + q) - 1.0
 
-        def integrand(u: np.ndarray) -> np.ndarray:
-            vals = np.asarray(fn(1.0 - u ** p))
-            w = p * u ** alpha
-            return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
+    def integrand(u: np.ndarray) -> np.ndarray:
+        vals = np.asarray(fn(1.0 - u ** p))
+        w = p * u ** alpha
+        return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
 
-        seg = ((1.0 - b) ** (1.0 / p), (1.0 - a) ** (1.0 / p))
+    seg = ((1.0 - b) ** (1.0 / p), (1.0 - a) ** (1.0 / p))
     value, _, _ = _adapt(_rule(integrand, shape, _line), [seg], tol, budget)
     return value if shape else complex(value).real
 
 
-def _profile_mass(profile, eta, singular_exponent, a, b, tol, budget):
-    """Integral of profile(r) * w_eta(r) * 2r dr over [a, b]: the dA_eta
-    mass of a function term over the annulus a <= |z| < b."""
+def _profile_mass(profile, eta, singular_exponent, u_in, u_out, tol, budget):
+    """Integral of profile(r) * w_eta(r) * 2r dr over the band
+    u_out < 1-r <= u_in: the dA_eta mass of a function term there.
+
+    With q = eta + s != 0 the nodes lie in v with 1-r = v**p, as in
+    ``_polar``; with q = 0 they lie in r, where the ``random`` density's
+    recorded bits were taken.
+    """
     q = eta + singular_exponent
-    if q != 0.0 and b >= 1.0 - 1e-14:
+    if q != 0.0:
         p = _power_substitution(q)
 
-        def integrand(u):
-            r = np.minimum(1.0 - u ** p, 1.0 - _BOUNDARY_CLAMP)
-            w = (eta + 1.0) * p * u ** (p * (1.0 + eta) - 1.0) * 2.0 * r
+        def integrand(v):
+            r = np.minimum(1.0 - v ** p, 1.0 - _BOUNDARY_CLAMP)
+            w = (eta + 1.0) * p * v ** (p * (1.0 + eta) - 1.0) * 2.0 * r
             return profile(r) * w
 
-        seg = (0.0, (1.0 - a) ** (1.0 / p))
+        seg = (u_out ** (1.0 / p), u_in ** (1.0 / p))
     else:
 
         def integrand(r):
             return profile(r) * ((eta + 1.0) * (1.0 - r) ** eta * 2.0 * r)
 
-        seg = (a, b)
+        seg = (1.0 - u_in, 1.0 - u_out)
     value, _, _ = _adapt(_rule(integrand, (), _line), [seg], tol, budget)
     return value
 
 
-def _band(field, r0, r1, eta, tol, budget) -> np.ndarray:
+def _band(field, u_in, u_out, eta, tol, budget) -> np.ndarray:
     """sum_j mass_j M_j over the terms of a field: its integral over the
-    annulus r0 <= |z| < r1 against dA_eta.
+    band u_out < 1-|z| <= u_in against dA_eta.
 
     A power term (1-r)**s has the closed-form mass
-    (eta+1) * 2[u**(q+1)/(q+1) - u**(q+2)/(q+2)] from u = 1-r1 to
-    u = 1-r0, with q = eta+s; u is exact at dyadic radii, so no 1-|z| is
-    formed near the boundary.  A function term's mass comes from the
-    engine on its scalar profile, at the field's singular exponent.
+    (eta+1) * 2[u**(q+1)/(q+1) - u**(q+2)/(q+2)] from u_out to u_in,
+    with q = eta+s, evaluated at the exact band bounds, so no 1-|z| is
+    formed.  A function term's mass comes from the engine on its scalar
+    profile, at the field's singular exponent.
     """
     total = np.zeros((field.dim, field.dim), dtype=complex)
     for profile, matrix in field.terms:
         if callable(profile):
             mass = _profile_mass(
-                profile, eta, field.singular_exponent, r0, r1, tol, budget
+                profile, eta, field.singular_exponent, u_in, u_out, tol, budget
             )
         else:
             q = eta + profile
@@ -550,7 +534,7 @@ def _band(field, r0, r1, eta, tol, budget) -> np.ndarray:
             def primitive(u):
                 return u ** (q + 1.0) / (q + 1.0) - u ** (q + 2.0) / (q + 2.0)
 
-            mass = (eta + 1.0) * 2.0 * (primitive(1.0 - r0) - primitive(1.0 - r1))
+            mass = (eta + 1.0) * 2.0 * (primitive(u_in) - primitive(u_out))
         total = total + mass * matrix
     return total
 
@@ -560,16 +544,17 @@ def _band(field, r0, r1, eta, tol, budget) -> np.ndarray:
 
 
 def _dyadic_bounds(region) -> tuple[float, float, float, float]:
+    """(u_in, u_out, t0, t1) of a dyadic region, exact in u = 1 - |z|."""
     if isinstance(region, WholeDisc):
-        return 0.0, 1.0, 0.0, TWO_PI
+        return 1.0, 0.0, 0.0, TWO_PI
     if isinstance(region, CarlesonSquare):
         n = region.index.level
         lo, hi = region.index.theta_bounds()
-        return 1.0 - 2.0 ** -n, 1.0, lo, hi
+        return 2.0 ** -n, 0.0, lo, hi
     if isinstance(region, TopHalf):
         n = region.index.level
         lo, hi = region.index.theta_bounds()
-        return 1.0 - 2.0 ** -n, 1.0 - 2.0 ** -(n + 1), lo, hi
+        return 2.0 ** -n, 2.0 ** -(n + 1), lo, hi
     raise TypeError(f"not a polar-rectangle region: {region!r}")
 
 
@@ -592,9 +577,9 @@ def integrate_values(
     shape = tuple(value_shape)
     eta = spec.eta
     if isinstance(region, (WholeDisc, CarlesonSquare, TopHalf)):
-        r0, r1, t0, t1 = _dyadic_bounds(region)
+        u_in, u_out, t0, t1 = _dyadic_bounds(region)
         value, _, _ = _polar_rect_integrate(
-            fn, shape, eta, singular_exponent, r0, r1, t0, t1, tol, budget,
+            fn, shape, eta, singular_exponent, u_in, u_out, t0, t1, tol, budget,
             radial_breaks=radial_breaks, angular_breaks=angular_breaks,
         )
         return np.asarray(value)
@@ -616,11 +601,11 @@ def integrate(
     Returns a Hermitian matrix; positive semidefiniteness of the field
     survives up to roundoff because all quadrature weights are positive.
     The whole disc, Carleson squares and top halves are polar rectangles
-    and go through ``integrate_polar_rect``; the other regions read the
-    evaluator.
+    and take the route of ``integrate_polar_rect`` on their exact band
+    bounds; the other regions read the evaluator.
     """
     if isinstance(region, (WholeDisc, CarlesonSquare, TopHalf)):
-        return integrate_polar_rect(field, *_dyadic_bounds(region), spec, tol, budget)
+        return _rect(field, *_dyadic_bounds(region), spec, tol, budget)
     value = integrate_values(
         field.evaluator, (field.dim, field.dim), region, spec=spec, tol=tol,
         budget=budget, singular_exponent=field.singular_exponent,
@@ -655,17 +640,22 @@ def integrate_polar_rect(
     A field with terms takes the band route: (t1 - t0) / 2 pi times the
     annulus integral from ``_band``, so a full annulus (t0, t1) =
     (0, 2 pi) is the band itself.  A field without terms runs through the
-    2-D engine on its evaluator.  An empty band, r0 == r1, has mass zero;
-    the radii of dyadic levels above 53 round to it.
+    2-D engine on its evaluator.  The radii are converted to the band
+    bounds u = 1 - r once, here.  An empty band, r0 == r1, has mass zero.
     """
     if not 0.0 <= r0 <= r1 <= 1.0:
         raise ValueError("need 0 <= r0 <= r1 <= 1")
+    return _rect(field, 1.0 - r0, 1.0 - r1, t0, t1, spec, tol, budget)
+
+
+def _rect(field, u_in, u_out, t0, t1, spec, tol, budget) -> np.ndarray:
+    """``integrate_polar_rect`` on the band u_out < 1-|z| <= u_in."""
     if field.terms is not None:
-        value = (t1 - t0) / TWO_PI * _band(field, r0, r1, spec.eta, tol, budget)
+        value = (t1 - t0) / TWO_PI * _band(field, u_in, u_out, spec.eta, tol, budget)
     else:
         value, _, _ = _polar_rect_integrate(
             field.evaluator, (field.dim, field.dim), spec.eta, field.singular_exponent,
-            r0, r1, t0, t1, tol, budget,
+            u_in, u_out, t0, t1, tol, budget,
         )
         value = np.asarray(value)
     return 0.5 * (value + value.conj().T)

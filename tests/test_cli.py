@@ -46,6 +46,34 @@ def test_scenario_file_run(tmp_path, capsys):
     assert (printed / "curves.csv").exists()
 
 
+def test_zero_derivative_volterra_run_is_complete(tmp_path, capsys):
+    # g(z) = z**2 has g'(0) = 0, so the pointwise curve starts at 0: log
+    # axes leave that point off the chart, the report and CSV keep it
+    scenario = {
+        "version": 1,
+        "kind": "volterra",
+        "symbol": {"kind": "poly", "coefficients": [[[0.0]], [[0.0]], [[1.0]]]},
+        "weight": {"kind": "identity", "dim": 1},
+    }
+    path = tmp_path / "zero.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    out_root = tmp_path / "results"
+    rc = cli.main(["volterra", "--scenario", str(path), "--out", str(out_root)])
+    assert rc == 0
+    run_dir = Path(capsys.readouterr().out.strip())
+    assert [p.parent for p in out_root.glob("*/*")] == [out_root / "volterra"]
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "curves.csv", "manifest.json", "plot.svg", "report.json"
+    ]
+    report = json.loads((run_dir / "report.json").read_text())
+    rows = report["curve"]["rows"]
+    assert report["plot"]["loglog"] and rows[0][1] == 0.0
+    assert len((run_dir / "curves.csv").read_text().splitlines()) == len(rows) + 2
+    svg = (run_dir / "plot.svg").read_text()
+    assert svg.count("<!-- data: ") == 2 * len(rows) - 1
+    assert json.loads((run_dir / "manifest.json").read_text())["plot_emitted"]
+
+
 def test_malformed_version_exits_one_without_output(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump({"version": "two", "kind": "b2", "weight": {}}))

@@ -16,8 +16,6 @@ from bergman_carleson.disc_geometry import (
     WholeDisc,
     carleson_square_area,
     contains,
-    dyadic_children,
-    level_cells,
     level_rows,
     locate_top_half,
     region_area,
@@ -48,7 +46,7 @@ class TestDyadicIndex:
 
     def test_children_cover_parent_arc(self):
         parent = DyadicIndex(3, 5)
-        kids = dyadic_children(parent)
+        kids = parent.children()
         assert [k.position for k in kids] == [10, 11]
         assert kids[0].theta_bounds()[0] == parent.theta_bounds()[0]
         assert kids[1].theta_bounds()[1] == pytest.approx(parent.theta_bounds()[1])
@@ -184,7 +182,10 @@ class TestPartition:
             assert len(hits) == 1
 
     def test_level_cells(self):
-        cells = list(level_cells(3))
+        # the children of one level, in order, are the next level
+        cells = [DyadicIndex(3, k) for k in range(2 ** 3)]
+        parents = [DyadicIndex(2, k) for k in range(2 ** 2)]
+        assert [kid for idx in parents for kid in idx.children()] == cells
         assert len(cells) == 8
         assert cells[0] == DyadicIndex(3, 0)
         assert cells[-1] == DyadicIndex(3, 7)
@@ -202,7 +203,8 @@ class TestLevelMajorRows:
     def test_level_rows_slice_one_level(self):
         cells = top_half_partition(4).cells
         for level in range(5):
-            assert list(cells[level_rows(level)]) == list(level_cells(level))
+            whole_level = [DyadicIndex(level, k) for k in range(2 ** level)]
+            assert list(cells[level_rows(level)]) == whole_level
         assert level_rows(4).stop == len(cells)
 
     def test_row_areas(self):

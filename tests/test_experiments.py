@@ -274,6 +274,23 @@ class TestRunScenario:
             run_scenario(EQUIVALENCE_ATOM, out_root=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_nothing_to_chart_writes_no_plot(self, tmp_path, monkeypatch):
+        build = experiments.build_report
+
+        def flat(scenario):
+            report = build(scenario)
+            report["plot"]["loglog"] = True
+            report["curve"]["rows"] = [[float(k)] + [0.0] * (len(row) - 1)
+                                       for k, row in enumerate(report["curve"]["rows"])]
+            return report
+
+        monkeypatch.setattr(experiments, "build_report", flat)
+        run_dir = run_scenario(EQUIVALENCE_ATOM, out_root=tmp_path)
+        names = sorted(p.name for p in run_dir.iterdir())
+        assert names == ["curves.csv", "manifest.json", "report.json"]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["plot_emitted"] is False
+
     def test_rerun_from_echo_reproduces_report(self, tmp_path):
         first = run_scenario(EQUIVALENCE_ATOM, out_root=tmp_path)
         echo = json.loads((first / "report.json").read_text())["scenario"]

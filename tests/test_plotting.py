@@ -78,6 +78,22 @@ class TestChartFromReport:
         with pytest.raises(ValueError):
             chart_from_report(trimmed)
 
+    def test_log_axes_leave_nonpositive_points_off(self):
+        report = {
+            "kind": "x",
+            "curve": {
+                "columns": ["x", "a", "b"],
+                "rows": [[1.0, 0.0, 1.0], [2.0, 2.0, -1.0], [4.0, 3.0, 0.0]],
+            },
+            "plot": {"loglog": True},
+        }
+        svg = chart_from_report(report)
+        # series b keeps one point and is dropped; a keeps two
+        assert "<!-- series: a -->" in svg and "<!-- series: b -->" not in svg
+        assert svg.count("<!-- data: ") == 2
+        report["curve"]["rows"][1][1] = 0.0
+        assert chart_from_report(report) is None
+
     def test_missing_curve_rejected(self):
         with pytest.raises(ValueError):
             chart_from_report({"kind": "x", "curve": {"columns": [], "rows": []}})

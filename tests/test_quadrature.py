@@ -7,12 +7,14 @@ Expected values below are classical: the dA_eta mass of the disc is
 
 import cmath
 import dataclasses
+import decimal
 import math
 
 import numpy as np
 import pytest
 
 from bergman_carleson.disc_geometry import (
+    MAX_LEVEL,
     CarlesonSquare,
     DyadicIndex,
     HyperbolicDisc,
@@ -35,7 +37,6 @@ from bergman_carleson.quadrature import (
     _local_polar_integrate,
     _polar,
     _rule,
-    _substituted_polar,
     _tilde_edge,
     constant_field,
     identity_field,
@@ -208,6 +209,67 @@ class TestBandRoute:
         assert calls
 
 
+def _exact_band_mass(s, u_in, u_out):
+    """dA mass of (1-|z|)**s over the band u_out < 1-|z| <= u_in, at 40
+    digits: 2[u**(q+1)/(q+1) - u**(q+2)/(q+2)] with q = s."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, b = decimal.Decimal(s) + 1, decimal.Decimal(s) + 2
+
+        def primitive(u):
+            return u ** a / a - u ** b / b if u else 0
+
+        return 2 * (primitive(u_in) - primitive(u_out))
+
+
+def _exact_linear_mass(u_in, u_out):
+    """dA mass of 2 + |z| over the same band: with r = 1 - u the integrand
+    (3 - u) 2(1 - u) has the primitive 2[3u - 2u**2 + u**3/3]."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+
+        def primitive(u):
+            return 2 * (3 * u - 2 * u ** 2 + u ** 3 / 3)
+
+        return primitive(u_in) - primitive(u_out)
+
+
+class TestEveryLevel:
+    """Top halves and Carleson squares at every level the API accepts,
+    against the band primitives in 40-digit decimal arithmetic.
+
+    A level-n top half is the band 2**-(n+1) < 1-|z| <= 2**-n and a
+    square the band 0 < 1-|z| <= 2**-n; both are exact in u = 1-|z| at
+    every level, although 1 - 2**-n rounds to 1 from level 54 on.
+    """
+
+    M = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+    FIELDS = {
+        "power-0.5": (((-0.5, M),), lambda u_in, u_out: _exact_band_mass(-0.5, u_in, u_out)),
+        "power0": (((0.0, M),), lambda u_in, u_out: _exact_band_mass(0.0, u_in, u_out)),
+        "power2.87": (((2.87, M),), lambda u_in, u_out: _exact_band_mass(2.87, u_in, u_out)),
+        "function-and-power": (
+            ((lambda r: 2.0 + r, M), (-0.5, M)),
+            lambda u_in, u_out: _exact_linear_mass(u_in, u_out)
+            + _exact_band_mass(-0.5, u_in, u_out),
+        ),
+    }
+
+    @pytest.mark.parametrize("region", [TopHalf, CarlesonSquare])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_levels_0_to_60(self, name, region):
+        terms, exact = self.FIELDS[name]
+        field = MatrixField(dim=2, terms=terms)
+        for n in range(MAX_LEVEL + 1):
+            u_in = decimal.Decimal(2) ** -n
+            u_out = u_in / 2 if region is TopHalf else decimal.Decimal(0)
+            # the arc at position 0 spans the fraction 2**-n of the circle
+            want = float(exact(u_in, u_out) * u_in) * self.M
+            got = integrate(field, region(DyadicIndex(n, 0)))
+            gap = np.linalg.norm(got - want)
+            assert gap <= 1e-13 * np.linalg.norm(want), (n, gap / np.linalg.norm(want))
+
+
 class TestScalarAndVector:
     def test_square_modulus(self):
         v = integrate_scalar(lambda z: np.abs(z) ** 2, DISC)
@@ -332,13 +394,17 @@ class TestPolarRect:
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_empty_band_has_zero_mass(self):
-        # the radii of the deepest dyadic levels round to r0 == r1 == 1
         for field in (radial_power_field(-0.5, np.eye(2)), flat_field(2)):
             for r in (0.5, 1.0):
                 assert not np.any(integrate_polar_rect(field, r, r, 0.0, 1.0))
-            assert not np.any(integrate(field, TopHalf(DyadicIndex(60, 7))))
         with pytest.raises(ValueError):
             integrate_polar_rect(flat_field(1), 0.6, 0.5, 0.0, 1.0)
+        # the deepest top half is a band in exact u, not an empty one:
+        # 2[u**0.5/0.5 - u**1.5/1.5] from 2**-61 to 2**-60, over 2**60 arcs
+        got = integrate(radial_power_field(-0.5, np.eye(2)), TopHalf(DyadicIndex(60, 7)))
+        expect = 4.0 * (2.0 ** -30 - 2.0 ** -30.5) * 2.0 ** -60
+        assert got[0, 0].real == pytest.approx(expect, rel=1e-14)
+        assert got[0, 0] == got[1, 1] and got[0, 1] == 0.0
 
     def test_identity_average_is_exact(self):
         # the matrix and scalar runs of the 2-D engine share panels, so the
@@ -491,8 +557,8 @@ RECTS = [(0.1, 0.3, 0.0, 0.5), (0.3, 0.55, 0.5, 1.7), (0.55, 0.9, 2.0, 3.1), (0.
 LOCAL_RECTS = [(0.0, 0.2, 0.0, 1.5), (0.2, 0.4, 1.5, 3.1), (0.1, 0.3, 3.1, 6.2)]
 BATCH_MAPS = {
     "line": (_line, [(0.0, 0.25), (0.25, 0.6), (0.6, 0.95), (-0.5, 0.1)]),
-    "polar": (_polar(0.5), RECTS),
-    "substituted_polar": (_substituted_polar(-0.5, 2), RECTS),
+    "polar": (_polar(0.5, 1), RECTS),
+    "substituted_polar": (_polar(-0.5, 2), RECTS),
     "hyperbolic_local_polar": (_local_polar(0.0, 0.3 + 0.2j, np.ones_like), LOCAL_RECTS),
     "tilde_local_polar": (
         _local_polar(1.5, 0.5 + 0j, _tilde_edge(0.5 + 0j, 0.5)),
