@@ -254,18 +254,15 @@ def _kernel_series(power: float, lam_abs: float, q: float) -> float:
         k += 1
 
 
-def _power_terms(field: MatrixField):
-    """The (s, M) terms of a field that is a sum of radial powers, else None."""
-    if field.terms is None or any(callable(s) for s, _ in field.terms):
-        return None
-    return field.terms
+def _is_power_sum(field: MatrixField) -> bool:
+    """Whether every term of a field is a radial power (1-|z|)**s M."""
+    return not any(callable(s) for s, _ in field.terms)
 
 
 def _poly_quadratic_norm(
     f: VectorPoly, field: MatrixField, eta: float, tol: float
 ) -> float:
-    terms = _power_terms(field)
-    if terms is None:
+    if not _is_power_sum(field):
         return _generic_quadratic_norm(f, field, eta, tol)
     coeffs = f.coefficients
 
@@ -287,13 +284,13 @@ def _poly_quadratic_norm(
             moment *= x * (x + 1.0) / ((x + q + 1.0) * (x + q + 2.0))
         return total
 
-    return reduce(add, (power_norm(s, matrix) for s, matrix in terms))
+    return reduce(add, (power_norm(s, matrix) for s, matrix in field.terms))
 
 
 def _kernel_quadratic_norm(
     f: KernelFunction, field: MatrixField, eta: float, tol: float
 ) -> float:
-    if _power_terms(field) is None:
+    if not _is_power_sum(field):
         return _generic_quadratic_norm(f, field, eta, tol)
     e = f.direction
     return float(np.real(np.vdot(e, _scalar_envelope_matrix(f, field, eta) @ e)))
@@ -378,6 +375,16 @@ class GridReport:
         )
 
 
+def _grid_report(values) -> GridReport:
+    """Supremum of (lambda, value) pairs.  A value replaces the best only
+    if it is strictly greater, so ties go to the earliest grid point."""
+    best = (-math.inf, None)
+    for lam, value in values:
+        if value > best[0]:
+            best = (value, lam)
+    return GridReport(sup_value=best[0], argmax_point=best[1], values=tuple(values))
+
+
 def default_lambda_grid(
     ratio: float = 0.5, max_level: int = 10, angles: int = 16
 ) -> tuple[complex, ...]:
@@ -420,19 +427,13 @@ def condition_constant(
     spec = MeasureSpec(problem.eta)
     weight_field = problem.weight_field
     values = []
-    best = (-math.inf, None)
     for lam in lambda_grid:
         disc = HyperbolicDisc(center=lam, ratio=problem.ratio)
         m_symbol = integrate(problem.symbol, disc, tol=tol)
         m_weight = integrate(weight_field, disc, spec, tol=tol)
         ratio = op_norm(sandwich(psd_inv_sqrt(m_weight), m_symbol))
-        value = ratio / (1.0 - abs(lam)) ** (2 * problem.order)
-        values.append((lam, value))
-        if value > best[0]:
-            best = (value, lam)
-    return GridReport(
-        sup_value=best[0], argmax_point=best[1], values=tuple(values)
-    )
+        values.append((lam, ratio / (1.0 - abs(lam)) ** (2 * problem.order)))
+    return _grid_report(values)
 
 
 def embedding_ratio(
@@ -526,8 +527,7 @@ def _scalar_envelope_matrix(
     """Matrix of the quadratic form e -> squared norm of the kernel ray
     in direction e; the direction factors out of the scalar envelope,
     one coefficient series per power term of the field."""
-    terms = _power_terms(field)
-    if terms is None:
+    if not _is_power_sum(field):
         raise ValueError("the kernel probe needs fields of radial power terms")
     coefficient = abs(kernel.scalar_coefficient) ** 2 * (eta + 1.0)
     return reduce(
@@ -535,7 +535,7 @@ def _scalar_envelope_matrix(
         (
             coefficient * _kernel_series(kernel.power, abs(kernel.center), eta + s)
             * matrix
-            for s, matrix in terms
+            for s, matrix in field.terms
         ),
     )
 

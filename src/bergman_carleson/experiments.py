@@ -39,6 +39,7 @@ from .measures import (
     _decode_matrix,
     _descriptor_kind,
     _integer,
+    _number,
     carleson_intensity,
     measure_from_descriptor,
     partition_masses,
@@ -205,8 +206,9 @@ def _symbol_field(desc: Mapping):
             return identity_field(_integer(desc["dim"], "dim"))
         if kind == "radial_power":
             dim = _integer(desc.get("dim", 1), "dim")
-            scale = float(desc.get("scale", 1.0))
-            field = radial_power_field(float(desc["exponent"]), scale * np.eye(dim))
+            scale = _number(desc.get("scale", 1.0), "scale")
+            exponent = _number(desc["exponent"], "exponent")
+            field = radial_power_field(exponent, scale * np.eye(dim))
         else:
             field = constant_field(_decode_matrix(desc["matrix"]))
     except (KeyError, ValueError, TypeError) as exc:
@@ -224,6 +226,8 @@ def _volterra_symbol(desc: Mapping):
         if kind == "log":
             return LogSymbol(_integer(desc.get("dim", 1), "dim"))
         coeffs = np.stack([_decode_matrix(c) for c in desc["coefficients"]])
+        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
+            raise ValueError("poly coefficients must be a stack of square matrices")
         symbol = OperatorPoly(dimension=coeffs.shape[1], coefficients=coeffs)
     except (KeyError, ValueError, TypeError) as exc:
         raise ScenarioError(f"bad volterra symbol descriptor: {exc}") from exc

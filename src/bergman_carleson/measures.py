@@ -53,8 +53,11 @@ def _encode_matrix(m: np.ndarray) -> list:
 
 
 def _decode_matrix(raw) -> np.ndarray:
-    """Inverse of ``_encode_matrix``; plain nested real lists are read too."""
+    """Inverse of ``_encode_matrix``; plain nested real lists are read too.
+    A non-finite entry raises ValueError."""
     arr = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
     if arr.ndim == 3:
         return arr[..., 0] + 1j * arr[..., 1]
     return np.asarray(raw, dtype=complex)
@@ -66,6 +69,18 @@ def _integer(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, key: str) -> float:
+    """A real descriptor value; a bool, a non-number or a non-finite
+    value raises ValueError."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _descriptor_kind(desc: Mapping, kind_keys: Mapping, label: str) -> str:
@@ -119,7 +134,7 @@ class MatrixMeasure:
                 raise ValueError("density dimension does not match the measure")
             # a power profile (1-r)**s is >= 0, so a power term is PSD
             # exactly when its matrix is
-            for profile, m in self.density.terms or ():
+            for profile, m in self.density.terms:
                 if not callable(profile):
                     assert_psd(m, label="density term matrix")
 
@@ -150,12 +165,10 @@ def identity_density_measure(dim: int) -> MatrixMeasure:
     )
 
 
-def _mapped_field(inner: MatrixField, dim: int, fn, evaluator) -> MatrixField:
+def _mapped_field(inner: MatrixField, dim: int, fn) -> MatrixField:
     """The field of dimension ``dim`` whose terms are those of ``inner``
-    with every matrix M replaced by fn(M); a field without terms maps to
-    ``evaluator`` instead."""
-    if inner.terms is None:
-        return MatrixField(dim, evaluator, inner.singular_exponent)
+    with every matrix M replaced by fn(M); its evaluator is derived from
+    the mapped terms."""
     terms = tuple((profile, fn(m)) for profile, m in inner.terms)
     return MatrixField(dim, singular_exponent=inner.singular_exponent, terms=terms)
 
@@ -167,12 +180,7 @@ def conjugate_measure(mu: MatrixMeasure, unitary: np.ndarray) -> MatrixMeasure:
     atoms = tuple((z, u @ m @ u.conj().T) for z, m in mu.atoms)
     density = None
     if mu.density is not None:
-        inner = mu.density
-
-        def evaluator(z: np.ndarray) -> np.ndarray:
-            return np.einsum("ab,mbc,dc->mad", u, inner.evaluator(z), u.conj())
-
-        density = _mapped_field(inner, inner.dim, lambda m: u @ m @ u.conj().T, evaluator)
+        density = _mapped_field(mu.density, mu.dimension, lambda m: u @ m @ u.conj().T)
     return MatrixMeasure(dimension=mu.dimension, atoms=atoms, density=density)
 
 
@@ -281,26 +289,15 @@ def partition_masses(
             slivers[idx.position >> (idx.level - depth)] += matrix
 
     if mu.density is not None:
-        inner_radius = 1.0 - 2.0 ** -(depth + 1)
-        if mu.density.terms is not None:
-            # one band integral per level, shared by all cells of the level
-            for level in range(depth + 1):
-                cells[level_rows(level)] += integrate(
-                    mu.density, TopHalf(DyadicIndex(level, 0)), PLAIN, tol=tol
-                )
-            slivers += integrate_polar_rect(
-                mu.density, inner_radius, 1.0, 0.0, TWO_PI, PLAIN, tol=tol
-            ) * 2.0 ** -depth
-        else:
-            for row in range(len(cells)):
-                cells[row] += integrate(
-                    mu.density, TopHalf(row_index(row)), PLAIN, tol=tol
-                )
-            for k in range(len(slivers)):
-                lo, hi = DyadicIndex(depth, k).theta_bounds()
-                slivers[k] += integrate_polar_rect(
-                    mu.density, inner_radius, 1.0, lo, hi, PLAIN, tol=tol
-                )
+        # a density is radial: one band integral per level, shared by all
+        # cells of the level, and one for all slivers
+        for level in range(depth + 1):
+            cells[level_rows(level)] += integrate(
+                mu.density, TopHalf(DyadicIndex(level, 0)), PLAIN, tol=tol
+            )
+        slivers += integrate_polar_rect(
+            mu.density, 1.0 - 2.0 ** -(depth + 1), 1.0, 0.0, TWO_PI, PLAIN, tol=tol
+        ) * 2.0 ** -depth
 
     return PartitionMasses(dimension=d, depth=depth, cells=cells, slivers=slivers)
 
@@ -444,13 +441,7 @@ def lift_scalar_measure(scalar: MatrixMeasure, dim: int, seed: int) -> MatrixMea
     )
     density = None
     if scalar.density is not None:
-        inner = scalar.density
-
-        def evaluator(z: np.ndarray) -> np.ndarray:
-            prof = inner.evaluator(z)[:, 0, 0]
-            return prof[:, None, None] * projector
-
-        density = _mapped_field(inner, dim, lambda m: m[0, 0].real * projector, evaluator)
+        density = _mapped_field(scalar.density, dim, lambda m: m[0, 0].real * projector)
     return MatrixMeasure(
         dimension=dim,
         atoms=atoms,
@@ -486,18 +477,20 @@ def measure_from_descriptor(desc: Mapping) -> MatrixMeasure:
         return identity_density_measure(_integer(desc["dim"], "dim"))
     if kind == "atom":
         re_part, im_part = desc["point"]
-        point = complex(float(re_part), float(im_part))
+        point = complex(_number(re_part, "point"), _number(im_part, "point"))
         if "matrix" in desc:
             matrix = _decode_matrix(desc["matrix"])
             if "scale" in desc or _integer(desc.get("dim", len(matrix)), "dim") != len(matrix):
                 raise ValueError("an atom matrix takes no scale and sets the dim")
         else:
-            matrix = np.eye(_integer(desc.get("dim", 1), "dim")) * float(desc.get("scale", 1.0))
+            matrix = np.eye(_integer(desc.get("dim", 1), "dim")) * _number(
+                desc.get("scale", 1.0), "scale"
+            )
         return atom_measure(point, matrix)
     if kind == "radial_power_density":
         dim = _integer(desc.get("dim", 1), "dim")
-        exponent = float(desc["exponent"])
-        scale = float(desc.get("scale", 1.0))
+        exponent = _number(desc["exponent"], "exponent")
+        scale = _number(desc.get("scale", 1.0), "scale")
         field = radial_power_field(exponent, scale * np.eye(dim))
         return density_measure(field, descriptor=dict(desc))
     if kind == "lifted":
@@ -509,7 +502,7 @@ def measure_from_descriptor(desc: Mapping) -> MatrixMeasure:
         dim=_integer(desc["dim"], "dim"),
         seed=_integer(desc.get("seed", 0), "seed"),
         num_atoms=_integer(desc.get("num_atoms", 3), "num_atoms"),
-        annulus=tuple(desc.get("annulus", (0.2, 0.9))),
+        annulus=tuple(_number(a, "annulus") for a in desc.get("annulus", (0.2, 0.9))),
         with_density=bool(desc.get("with_density", True)),
-        atom_scale=float(desc.get("atom_scale", 1.0)),
+        atom_scale=_number(desc.get("atom_scale", 1.0), "atom_scale"),
     )

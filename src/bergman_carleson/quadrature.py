@@ -19,16 +19,16 @@ whole disc (1, 0), each exact at every level, although 1 - 2**-n rounds
 to 1 from level 54 on; ``integrate_polar_rect`` takes radii and converts
 them to u once.
 
-A field that carries ``terms``, a sum of radial profiles times constant
-matrices (see :class:`MatrixField`), takes one band route on every polar
-rectangle: the whole disc, Carleson squares, top halves, annuli and the
-squares of the weight checker.  Its integral is (t1 - t0) / 2 pi times
-the band mass.  A power term's mass is taken in closed form at u_in and
-u_out, and a function term's mass from the engine on its scalar profile
-over a segment; the result is the sum of mass times matrix, so the cost
-does not grow with the dimension and the evaluator is never called.
-Every other region, and every field without terms, goes through the
-evaluator.
+A field is a sum of radial profiles times constant matrices, its
+``terms`` (see :class:`MatrixField`), and takes one band route on every
+polar rectangle: the whole disc, Carleson squares, top halves, annuli
+and the squares of the weight checker.  Its integral is the arc fraction
+times the band mass; a dyadic arc's fraction is the exact 2**-n.  A
+power term's mass is taken in closed form at u_in and u_out, and a
+function term's mass from the engine on its scalar profile over a
+segment; the result is the sum of mass times matrix, so the cost does
+not grow with the dimension and the evaluator is never called.  Every
+other region goes through the evaluator.
 
 Every polar rectangle uses one map, (v, t) -> (1 - v**p) e^{it} with
 u = v**p.  The integer p is chosen from the combined exponent q of the
@@ -121,52 +121,53 @@ PLAIN = MeasureSpec(0.0)
 
 @dataclass(frozen=True)
 class MatrixField:
-    """Hermitian-matrix-valued function of a point of the disc.
+    """Hermitian-matrix-valued radial function on the disc.
 
-    ``evaluator`` takes a complex array of shape (m,) and returns values
-    of shape (m, dim, dim).  ``singular_exponent`` declares boundary
-    behavior like (1-|z|)**s so quadrature can pick the substituted
-    radial variable.
+    ``terms`` define the field as a sum W(z) = sum_j phi_j(|z|) M_j of
+    (profile, matrix) pairs: a profile is an exponent s, meaning
+    (1-r)**s, or a vectorized function of r, and every matrix is
+    dim x dim.  Polar rectangles read the terms, see
+    ``integrate_polar_rect``; every other region reads the evaluator,
+    which takes a complex array of shape (m,) and returns values of
+    shape (m, dim, dim).  It is sum_j phi_j(|z|) M_j, summed from the
+    first term; an evaluator passed with the terms must agree with them.
+    Only the tilted ``DiagonalPowerWeight`` passes one, see there, and an
+    instrumented copy is ``dataclasses.replace(field, evaluator=...)``.
 
-    ``terms``, when present, define a radial field as a sum
-    W(z) = sum_j phi_j(|z|) M_j of (profile, matrix) pairs: a profile is
-    an exponent s, meaning (1-r)**s, or a vectorized function of r.
-    Polar rectangles read the terms, see ``integrate_polar_rect``; every
-    other region reads the evaluator.  A field given by its terms alone
-    gets the evaluator sum_j phi_j(|z|) M_j, summed from the first term,
-    and its singular exponent is the least of the declared value and the
-    power exponents.  An evaluator passed with the terms must agree with
-    them; only the tilted ``DiagonalPowerWeight`` passes one, see there.
+    ``singular_exponent`` declares boundary behavior like (1-|z|)**s so
+    quadrature can pick the substituted radial variable; the field keeps
+    the least of the declared value and its power exponents.  Each of
+    them must be finite and exceed -1.
     """
 
     dim: int
     evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     singular_exponent: float = 0.0
-    terms: tuple[tuple[float | Callable, np.ndarray], ...] | None = dataclass_field(
-        default=None, compare=False
+    terms: tuple[tuple[float | Callable, np.ndarray], ...] = dataclass_field(
+        default=(), compare=False
     )
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        if self.terms is not None:
-            terms = tuple(
-                (p if callable(p) else float(p), np.asarray(m, dtype=complex))
-                for p, m in self.terms
-            )
-            if not terms or any(m.shape != (self.dim, self.dim) for _, m in terms):
-                raise ValueError("terms need square matrices of the field dimension")
-            object.__setattr__(self, "terms", terms)
-            powers = [p for p, _ in terms if not callable(p)]
-            object.__setattr__(
-                self, "singular_exponent", min([self.singular_exponent] + powers)
-            )
-            if self.evaluator is None:
-                object.__setattr__(self, "evaluator", _terms_evaluator(terms))
-        elif self.evaluator is None:
-            raise ValueError("a field needs an evaluator or terms")
-        if self.singular_exponent <= -1.0:
-            raise ValueError("singular exponent must exceed -1 to be integrable")
+        terms = tuple(
+            (p if callable(p) else float(p), np.asarray(m, dtype=complex))
+            for p, m in self.terms or ()
+        )
+        if not terms:
+            raise ValueError("a field needs terms")
+        if any(m.shape != (self.dim, self.dim) for _, m in terms):
+            raise ValueError("terms need square matrices of the field dimension")
+        object.__setattr__(self, "terms", terms)
+        exponents = [self.singular_exponent] + [p for p, _ in terms if not callable(p)]
+        for s in exponents:
+            if not math.isfinite(s):
+                raise ValueError(f"exponent {s} must be finite")
+            if not s > -1.0:
+                raise ValueError("singular exponent must exceed -1 to be integrable")
+        object.__setattr__(self, "singular_exponent", min(exponents))
+        if self.evaluator is None:
+            object.__setattr__(self, "evaluator", _terms_evaluator(terms))
 
 
 def _terms_evaluator(terms):
@@ -571,8 +572,9 @@ def integrate_values(
 ) -> np.ndarray:
     """Integrate an array-valued function over a region against dA_eta.
 
-    This is the generic engine entry; ``integrate`` and
-    ``integrate_scalar`` wrap it for matrices and scalars.
+    This is the generic engine entry: ``integrate_scalar`` wraps it for
+    scalars, and ``integrate`` for a field's evaluator on every region
+    that is not a polar rectangle.
     """
     shape = tuple(value_shape)
     eta = spec.eta
@@ -602,10 +604,13 @@ def integrate(
     survives up to roundoff because all quadrature weights are positive.
     The whole disc, Carleson squares and top halves are polar rectangles
     and take the route of ``integrate_polar_rect`` on their exact band
-    bounds; the other regions read the evaluator.
+    bounds and arc fraction, 1 or 2**-n; the other regions read the
+    evaluator.
     """
     if isinstance(region, (WholeDisc, CarlesonSquare, TopHalf)):
-        return _rect(field, *_dyadic_bounds(region), spec, tol, budget)
+        u_in, u_out, _, _ = _dyadic_bounds(region)
+        fraction = 1.0 if isinstance(region, WholeDisc) else 2.0 ** -region.index.level
+        return _rect(field, u_in, u_out, fraction, spec, tol, budget)
     value = integrate_values(
         field.evaluator, (field.dim, field.dim), region, spec=spec, tol=tol,
         budget=budget, singular_exponent=field.singular_exponent,
@@ -637,25 +642,18 @@ def integrate_polar_rect(
 ) -> np.ndarray:
     """Matrix integral over the polar rectangle [r0, r1] x [t0, t1).
 
-    A field with terms takes the band route: (t1 - t0) / 2 pi times the
-    annulus integral from ``_band``, so a full annulus (t0, t1) =
-    (0, 2 pi) is the band itself.  A field without terms runs through the
-    2-D engine on its evaluator.  The radii are converted to the band
-    bounds u = 1 - r once, here.  An empty band, r0 == r1, has mass zero.
+    The band route: (t1 - t0) / 2 pi times the annulus integral from
+    ``_band``, so a full annulus (t0, t1) = (0, 2 pi) is the band itself.
+    The radii are converted to the band bounds u = 1 - r once, here.  An
+    empty band, r0 == r1, has mass zero.
     """
     if not 0.0 <= r0 <= r1 <= 1.0:
         raise ValueError("need 0 <= r0 <= r1 <= 1")
-    return _rect(field, 1.0 - r0, 1.0 - r1, t0, t1, spec, tol, budget)
+    return _rect(field, 1.0 - r0, 1.0 - r1, (t1 - t0) / TWO_PI, spec, tol, budget)
 
 
-def _rect(field, u_in, u_out, t0, t1, spec, tol, budget) -> np.ndarray:
-    """``integrate_polar_rect`` on the band u_out < 1-|z| <= u_in."""
-    if field.terms is not None:
-        value = (t1 - t0) / TWO_PI * _band(field, u_in, u_out, spec.eta, tol, budget)
-    else:
-        value, _, _ = _polar_rect_integrate(
-            field.evaluator, (field.dim, field.dim), spec.eta, field.singular_exponent,
-            u_in, u_out, t0, t1, tol, budget,
-        )
-        value = np.asarray(value)
+def _rect(field, u_in, u_out, fraction, spec, tol, budget=DEFAULT_BUDGET) -> np.ndarray:
+    """The integral over the band u_out < 1-|z| <= u_in restricted to an
+    arc that is ``fraction`` of the circle."""
+    value = fraction * _band(field, u_in, u_out, spec.eta, tol, budget)
     return 0.5 * (value + value.conj().T)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import GridReport, OperatorPoly, default_lambda_grid
+from .analytic import GridReport, OperatorPoly, _grid_report, default_lambda_grid
 from .disc_geometry import HyperbolicDisc
 from .linalg import op_norm, psd_inv_sqrt, psd_sqrt, sandwich
 from .quadrature import DEFAULT_TOL, PLAIN, integrate_values
@@ -124,15 +124,6 @@ def _quadrature_moment(deriv, dim, lam, avg, ratio, tol) -> np.ndarray:
 def _integral_value(inner, avg) -> float:
     inner = 0.5 * (inner + inner.conj().T)
     return op_norm(sandwich(psd_inv_sqrt(avg), inner))
-
-
-def _grid_report(values) -> GridReport:
-    """Supremum of (lambda, value) pairs; ties go to the earliest point."""
-    best = (-math.inf, None)
-    for lam, value in values:
-        if value > best[0]:
-            best = (value, lam)
-    return GridReport(sup_value=best[0], argmax_point=best[1], values=tuple(values))
 
 
 def _pointwise_report(deriv, grid, avgs) -> GridReport:

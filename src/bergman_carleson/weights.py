@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .disc_geometry import HyperbolicDisc, TWO_PI
+from .disc_geometry import HyperbolicDisc
 from .errors import DegenerateWeightError
 from .linalg import PSD_FLOOR, hermitize, op_norm, psd_sqrt
 from .measures import (
@@ -35,6 +35,7 @@ from .measures import (
     _descriptor_kind,
     _encode_matrix,
     _integer,
+    _number,
     random_unitary,
 )
 from .quadrature import (
@@ -42,9 +43,9 @@ from .quadrature import (
     MatrixField,
     MeasureSpec,
     PLAIN,
+    _rect,
     identity_field,
     integrate,
-    integrate_polar_rect,
     radial_power_field,
 )
 
@@ -210,7 +211,9 @@ def weight_from_descriptor(desc: Mapping):
         if "matrix" in desc:
             matrix = _decode_matrix(desc["matrix"])
         return ScalarPowerWeight(
-            float(desc["exponent"]), matrix=matrix, dim=_integer(desc.get("dim", 1), "dim")
+            _number(desc["exponent"], "exponent"),
+            matrix=matrix,
+            dim=_integer(desc.get("dim", 1), "dim"),
         )
     if kind == "diagonal_power":
         unitary = None
@@ -219,7 +222,7 @@ def weight_from_descriptor(desc: Mapping):
         elif "seed" in desc:
             unitary = random_unitary(len(desc["exponents"]), _integer(desc["seed"], "seed"))
         return DiagonalPowerWeight(
-            [float(a) for a in desc["exponents"]], unitary=unitary
+            [_number(a, "exponents") for a in desc["exponents"]], unitary=unitary
         )
     return BlockWeight([weight_from_descriptor(b) for b in desc["blocks"]])
 
@@ -276,9 +279,10 @@ def b2_constant(
     (the two averages multiply to at least the identity in norm) and
     exactly 1 for the identity weight.
 
-    The weight must be radial, a field with terms: then every square
-    S(h, theta) has the averages of the annulus 1-h < |z| < 1, and one
-    value per h covers all angles.
+    Every weight field is radial, so every square S(h, theta) has the
+    averages of the band 0 < 1-|z| < h, and one value per h covers all
+    angles.  The band is taken in the exact coordinate u = 1-|z|, so an h
+    below the spacing of floats near 1 still has its own averages.
     """
     spec = MeasureSpec(eta)
     hs = tuple(h_grid) if h_grid is not None else default_h_grid()
@@ -287,17 +291,11 @@ def b2_constant(
     for h in hs:
         if not 0.0 < h <= 1.0:
             raise ValueError(f"square height {h} outside (0, 1]")
-    field_w = weight.field()
-    field_inv = weight.inverse().field()
-    if field_w.terms is None or field_inv.terms is None:
-        raise ValueError("b2_constant needs a radial weight: a field with terms")
+    fields = (weight.field(), weight.inverse().field(), identity_field(weight.dim))
 
     def evaluate(h: float) -> float:
-        # averages over 1-h < |z| < 1, with one shared denominator
-        num_w, num_inv, den = (
-            integrate_polar_rect(f, 1.0 - h, 1.0, 0.0, TWO_PI, spec, tol)
-            for f in (field_w, field_inv, identity_field(weight.dim))
-        )
+        # averages over 0 < 1-|z| < h, with one shared denominator
+        num_w, num_inv, den = (_rect(f, h, 0.0, 1.0, spec, tol) for f in fields)
         avg_w, avg_inv = num_w / den[0, 0].real, num_inv / den[0, 0].real
         _require_nondegenerate(avg_w, f"average of W over S({h:g})")
         _require_nondegenerate(avg_inv, f"average of W^-1 over S({h:g})")

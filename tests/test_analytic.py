@@ -22,6 +22,7 @@ from bergman_carleson.analytic import (
     seminorm2,
     weighted_norm2,
     _generic_quadratic_norm,
+    _grid_report,
     _scalar_envelope_matrix,
 )
 from bergman_carleson.errors import DegenerateWeightError
@@ -121,7 +122,8 @@ class TestWeightedNorm:
     def test_kernel_series_against_generic_quadrature(self):
         k = KernelFunction(center=0.6 + 0.2j, exponent=1.0, direction=_e(1))
         series = weighted_norm2(k, IdentityWeight(1))
-        opaque = MatrixField(1, lambda z: np.ones((z.shape[0], 1, 1), dtype=complex))
+        # a function term takes the generic 2-D route
+        opaque = MatrixField(1, terms=((np.ones_like, np.eye(1)),))
         two_dim = weighted_norm2(k, opaque, tol=1e-9)
         assert two_dim == pytest.approx(series, rel=1e-7)
 
@@ -261,9 +263,7 @@ class TestConditionConstant:
         assert growth_exponent(pairs) == pytest.approx(-0.5, abs=0.1)
 
     def test_degenerate_weight_raises(self):
-        rank_deficient = MatrixField(
-            2, lambda z: np.broadcast_to(np.diag([1.0, 0.0]), (z.shape[0], 2, 2))
-        )
+        rank_deficient = constant_field(np.diag([1.0, 0.0]))
         problem = EmbeddingProblem(symbol=identity_field(2), weight=rank_deficient)
         with pytest.raises(DegenerateWeightError):
             condition_constant(problem, [0.3 + 0j])
@@ -272,6 +272,12 @@ class TestConditionConstant:
         problem = EmbeddingProblem(symbol=identity_field(1), weight=IdentityWeight(1))
         with pytest.raises(ValueError):
             condition_constant(problem, [])
+
+    def test_grid_ties_go_to_the_earliest_point(self):
+        grid = [0.1 + 0j, 0.5 + 0j, 0.2j, 0j]
+        report = _grid_report(list(zip(grid, [2.0, 3.0, 3.0, 1.0])))
+        assert report.sup_value == 3.0 and report.argmax_point == 0.5 + 0j
+        assert [lam for lam, _ in report.values] == grid
 
 
 class TestEmbeddingRatio:
@@ -368,8 +374,8 @@ class TestNecessityLowerBound:
         with pytest.raises(ValueError):
             necessity_lower_bound(problem, gamma=0.5, lam=0.5)
 
-    def test_field_without_terms_rejected(self):
-        opaque = MatrixField(1, lambda z: np.ones((z.shape[0], 1, 1), dtype=complex))
+    def test_field_without_power_terms_rejected(self):
+        opaque = MatrixField(1, terms=((np.ones_like, np.eye(1)),))
         problem = EmbeddingProblem(symbol=identity_field(1), weight=opaque)
         with pytest.raises(ValueError, match="power terms"):
             necessity_lower_bound(problem, gamma=1.0, lam=0.5)

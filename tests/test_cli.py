@@ -309,6 +309,80 @@ def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):
     assert not out_root.exists()
 
 
+IDENTITY = {"kind": "identity", "dim": 1}
+HALF_POWER = {"kind": "scalar_power", "exponent": 0.5}
+
+
+@pytest.mark.parametrize(
+    "scenario, code",
+    [
+        (
+            {"version": 1, "kind": "intensity", "depth": 2,
+             "measure": {"kind": "radial_power_density", "exponent": float("nan")}},
+            1,
+        ),
+        (
+            {"version": 1, "kind": "intensity", "depth": 2,
+             "measure": {"kind": "radial_power_density", "exponent": float("inf")}},
+            1,
+        ),
+        (
+            {"version": 1, "kind": "intensity", "depth": 2,
+             "measure": {"kind": "radial_power_density", "exponent": 0.5, "scale": float("nan")}},
+            1,
+        ),
+        (
+            {"version": 1, "kind": "dyadic-norm", "depth": 2,
+             "measure": {"kind": "atom", "point": [0.5, 0.0], "scale": float("nan")}},
+            1,
+        ),
+        (
+            {"version": 1, "kind": "embed", "weight": IDENTITY,
+             "symbol": {"kind": "radial_power", "exponent": float("nan")}},
+            1,
+        ),
+        (
+            {"version": 1, "kind": "volterra", "symbol": {"kind": "log", "dim": 1},
+             "weight": {"kind": "scalar_power", "exponent": float("nan")}},
+            1,
+        ),
+        (
+            {"version": 1, "kind": "volterra", "weight": IDENTITY,
+             "symbol": {"kind": "poly", "coefficients": [1, 2]}},
+            1,
+        ),
+        ({"version": 1, "kind": "b2", "weight": HALF_POWER, "h_grid": [1e-17]}, 0),
+        ({"version": 1, "kind": "b2", "weight": HALF_POWER, "h_grid": [1e-300]}, 2),
+    ],
+    ids=[
+        "density-exponent-nan",
+        "density-exponent-inf",
+        "density-scale-nan",
+        "atom-scale-nan",
+        "radial-power-symbol-exponent-nan",
+        "volterra-weight-exponent-nan",
+        "volterra-poly-coefficients-not-matrices",
+        "b2-height-below-float-spacing",
+        "b2-height-power-mass-underflows",
+    ],
+)
+def test_edge_descriptor_values_exit_cleanly(tmp_path, capsys, scenario, code):
+    path = tmp_path / "edge.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    out_root = tmp_path / "results"
+    rc = cli.main([scenario["kind"], "--scenario", str(path), "--out", str(out_root)])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert "Traceback" not in captured.err
+    if code:
+        assert not out_root.exists()
+    else:
+        # 1 - 1e-17 rounds to 1, but the band 0 < 1-|z| < h does not
+        run_dir = Path(captured.out.strip())
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["results"]["b2_sup"] == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
 def test_failed_write_exits_one_and_leaves_no_directory(tmp_path, capsys, monkeypatch):
     write_text = Path.write_text
 

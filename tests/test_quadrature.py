@@ -36,6 +36,7 @@ from bergman_carleson.quadrature import (
     _local_polar,
     _local_polar_integrate,
     _polar,
+    _polar_rect_integrate,
     _rule,
     _tilde_edge,
     constant_field,
@@ -65,14 +66,9 @@ from bergman_carleson.weights import (
 DISC = WholeDisc()
 
 
-def flat_field(dim=1):
-    """Constant identity without terms, to force the 2-D engine."""
-    return MatrixField(
-        dim=dim,
-        evaluator=lambda z: np.broadcast_to(
-            np.eye(dim, dtype=complex), (z.shape[0], dim, dim)
-        ).copy(),
-    )
+def flat_values(dim=1):
+    """The constant identity as a plain function of z, for the 2-D engine."""
+    return lambda z: np.broadcast_to(np.eye(dim, dtype=complex), (z.shape[0], dim, dim)).copy()
 
 
 class TestDiscMasses:
@@ -85,7 +81,7 @@ class TestDiscMasses:
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
     def test_weighted_mass_full_engine(self, eta):
-        v = integrate(flat_field(), DISC, MeasureSpec(eta))
+        v = integrate_values(flat_values(), (1, 1), DISC, MeasureSpec(eta))
         assert v[0, 0].real == pytest.approx(2.0 / (eta + 2.0), abs=1e-8)
 
     def test_invalid_eta(self):
@@ -96,14 +92,12 @@ class TestDiscMasses:
 class TestSingularIntegrands:
     # integral of (1-|z|)**(-1/2) dA = int_0^1 (1-r)**(-1/2) 2r dr = 8/3
     def test_inverse_sqrt_full_engine(self):
-        f = MatrixField(
-            dim=1,
-            evaluator=lambda z: ((1.0 - np.abs(z)) ** -0.5)[:, None, None].astype(
-                complex
-            ),
+        v = integrate_values(
+            lambda z: ((1.0 - np.abs(z)) ** -0.5)[:, None, None].astype(complex),
+            (1, 1),
+            DISC,
             singular_exponent=-0.5,
         )
-        v = integrate(f, DISC)
         assert v[0, 0].real == pytest.approx(8.0 / 3.0, abs=1e-8)
 
     def test_inverse_sqrt_radial_route(self):
@@ -156,17 +150,18 @@ class TestBandRoute:
         np.testing.assert_allclose(got, mass * self.M, rtol=1e-12)
 
     def test_power_masses_match_the_adaptive_engine(self):
-        # the same field without terms runs through the 2-D engine
+        # the 2-D engine on the evaluator of the same field
         field = radial_power_field(-0.5, self.M)
-        generic = dataclasses.replace(field, terms=None)
         for region in (CarlesonSquare(DyadicIndex(3, 5)), TopHalf(DyadicIndex(2, 1)), DISC):
-            np.testing.assert_allclose(
-                integrate(field, region), integrate(generic, region, tol=1e-11), rtol=1e-9
+            engine = integrate_values(
+                field.evaluator, (2, 2), region, tol=1e-11, singular_exponent=-0.5
             )
+            np.testing.assert_allclose(integrate(field, region), engine, rtol=1e-9)
+        engine, _, _ = _polar_rect_integrate(
+            field.evaluator, (2, 2), 0.0, -0.5, 0.75, 0.0, 0.0, TWO_PI, 1e-11, DEFAULT_BUDGET
+        )
         np.testing.assert_allclose(
-            integrate_polar_rect(field, 0.25, 1.0, 0.0, TWO_PI),
-            integrate_polar_rect(generic, 0.25, 1.0, 0.0, TWO_PI, tol=1e-11),
-            rtol=1e-9,
+            integrate_polar_rect(field, 0.25, 1.0, 0.0, TWO_PI), engine, rtol=1e-9
         )
 
     def test_non_integrable_power_rejected(self):
@@ -175,9 +170,9 @@ class TestBandRoute:
             integrate(field, DISC, MeasureSpec(-0.5))
 
     def test_terms_must_match_the_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="square matrices of the field dimension"):
             MatrixField(dim=2, evaluator=lambda z: z, terms=((0.0, np.eye(3)),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs terms"):
             MatrixField(dim=2, evaluator=lambda z: z, terms=())
 
     @pytest.mark.parametrize("name", ["tilted-weight", "random-density"])
@@ -255,19 +250,29 @@ class TestEveryLevel:
         ),
     }
 
-    @pytest.mark.parametrize("region", [TopHalf, CarlesonSquare])
-    @pytest.mark.parametrize("name", sorted(FIELDS))
-    def test_levels_0_to_60(self, name, region):
+    def _check_levels(self, name, region, position):
         terms, exact = self.FIELDS[name]
         field = MatrixField(dim=2, terms=terms)
         for n in range(MAX_LEVEL + 1):
             u_in = decimal.Decimal(2) ** -n
             u_out = u_in / 2 if region is TopHalf else decimal.Decimal(0)
-            # the arc at position 0 spans the fraction 2**-n of the circle
+            # every arc of level n spans the fraction 2**-n of the circle
             want = float(exact(u_in, u_out) * u_in) * self.M
-            got = integrate(field, region(DyadicIndex(n, 0)))
+            got = integrate(field, region(DyadicIndex(n, position(n))))
             gap = np.linalg.norm(got - want)
             assert gap <= 1e-13 * np.linalg.norm(want), (n, gap / np.linalg.norm(want))
+
+    @pytest.mark.parametrize("region", [TopHalf, CarlesonSquare])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_levels_0_to_60(self, name, region):
+        self._check_levels(name, region, lambda n: 0)
+
+    @pytest.mark.parametrize("region", [TopHalf, CarlesonSquare])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_last_arc_at_levels_0_to_60(self, name, region):
+        # the arc at position 2**n - 1 has angles that round near 2 pi;
+        # its fraction of the circle is still exactly 2**-n
+        self._check_levels(name, region, lambda n: 2 ** n - 1)
 
 
 class TestScalarAndVector:
@@ -394,11 +399,17 @@ class TestPolarRect:
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_empty_band_has_zero_mass(self):
-        for field in (radial_power_field(-0.5, np.eye(2)), flat_field(2)):
+        for field in (radial_power_field(-0.5, np.eye(2)), identity_field(2)):
             for r in (0.5, 1.0):
                 assert not np.any(integrate_polar_rect(field, r, r, 0.0, 1.0))
+        for u in (0.5, 0.0):
+            # the 2-D engine on the same empty band
+            value, _, _ = _polar_rect_integrate(
+                flat_values(2), (2, 2), 0.0, 0.0, u, u, 0.0, 1.0, 1e-8, DEFAULT_BUDGET
+            )
+            assert not np.any(value)
         with pytest.raises(ValueError):
-            integrate_polar_rect(flat_field(1), 0.6, 0.5, 0.0, 1.0)
+            integrate_polar_rect(identity_field(1), 0.6, 0.5, 0.0, 1.0)
         # the deepest top half is a band in exact u, not an empty one:
         # 2[u**0.5/0.5 - u**1.5/1.5] from 2**-61 to 2**-60, over 2**60 arcs
         got = integrate(radial_power_field(-0.5, np.eye(2)), TopHalf(DyadicIndex(60, 7)))
@@ -409,8 +420,9 @@ class TestPolarRect:
     def test_identity_average_is_exact(self):
         # the matrix and scalar runs of the 2-D engine share panels, so the
         # ratio is exact
-        num = integrate_polar_rect(flat_field(3), 0.7, 1.0, 0.0, 0.5, MeasureSpec(0.5))
-        den = integrate_polar_rect(flat_field(1), 0.7, 1.0, 0.0, 0.5, MeasureSpec(0.5))
+        square = CarlesonSquare(DyadicIndex(2, 1))
+        num = integrate_values(flat_values(3), (3, 3), square, MeasureSpec(0.5))
+        den = integrate_values(flat_values(1), (1, 1), square, MeasureSpec(0.5))
         avg = num / den[0, 0].real
         assert np.array_equal(avg, np.eye(3, dtype=complex))
 
@@ -418,15 +430,12 @@ class TestPolarRect:
 class TestEngineBehavior:
     @pytest.mark.parametrize("path", ["disc", "radial"])
     def test_budget_exhaustion_carries_partial_result(self, path):
-        f = MatrixField(
-            dim=1,
-            evaluator=lambda z: (np.cos(40.0 * np.angle(z)) + 2.0)[
-                :, None, None
-            ].astype(complex),
-        )
+        def f(z):
+            return (np.cos(40.0 * np.angle(z)) + 2.0)[:, None, None].astype(complex)
+
         with pytest.raises(ToleranceNotReached) as exc:
             if path == "disc":
-                integrate(f, DISC, tol=1e-14, budget=4000)
+                integrate_values(f, (1, 1), DISC, tol=1e-14, budget=4000)
             else:
                 radial_integral(
                     lambda r: np.cos(4000.0 * r) + 2.0, 0.0, 1.0, tol=1e-14, budget=4000
@@ -441,33 +450,34 @@ class TestEngineBehavior:
         assert f"after {err.evaluations} evaluations" in message
 
     def test_repeat_calls_bit_identical(self):
-        f = MatrixField(
-            dim=2,
-            evaluator=lambda z: np.stack(
+        def f(z):
+            return np.stack(
                 [
                     np.stack([np.abs(z) ** 2, z], axis=-1),
                     np.stack([np.conj(z), np.ones_like(z)], axis=-1),
                 ],
                 axis=-2,
-            ),
-        )
-        a = integrate(f, CarlesonSquare(DyadicIndex(2, 1)), MeasureSpec(1.0))
-        b = integrate(f, CarlesonSquare(DyadicIndex(2, 1)), MeasureSpec(1.0))
+            )
+
+        square = CarlesonSquare(DyadicIndex(2, 1))
+        a = integrate_values(f, (2, 2), square, MeasureSpec(1.0))
+        b = integrate_values(f, (2, 2), square, MeasureSpec(1.0))
         assert np.array_equal(a, b)
 
     def test_hermitized_output(self):
+        # terms with non-Hermitian matrices: both the band route and the
+        # evaluator route return a Hermitian matrix
         f = MatrixField(
             dim=2,
-            evaluator=lambda z: np.stack(
-                [
-                    np.stack([np.ones_like(z), z], axis=-1),
-                    np.stack([np.conj(z), np.ones_like(z)], axis=-1),
-                ],
-                axis=-2,
+            terms=(
+                (0.0, np.array([[1.0, 2.0j], [0.5, 1.0]])),
+                (lambda r: r, np.array([[0.0, 0.0], [1.0 - 1.0j, 0.0]])),
             ),
         )
-        v = integrate(f, DISC)
-        assert np.array_equal(v, v.conj().T)
+        for region in (DISC, TopHalf(DyadicIndex(3, 2)), HyperbolicDisc(0.5 + 0.25j, 0.5)):
+            v = integrate(f, region)
+            assert np.array_equal(v, v.conj().T)
+            assert v[0, 1] != 0.0
 
 
 M2 = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
@@ -508,12 +518,34 @@ class TestFieldConstructors:
             constant_field(np.ones((2, 3)))
 
     def test_matrix_field_validation(self):
-        with pytest.raises(ValueError):
-            MatrixField(dim=0, evaluator=lambda z: z)
-        with pytest.raises(ValueError):
-            MatrixField(dim=1, evaluator=lambda z: z, singular_exponent=-1.5)
-        with pytest.raises(ValueError):
-            MatrixField(dim=1)
+        one = ((0.0, np.eye(1)),)
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            MatrixField(dim=0, terms=one)
+        with pytest.raises(ValueError, match="exceed -1"):
+            MatrixField(dim=1, singular_exponent=-1.5, terms=one)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"terms": None}, {"evaluator": lambda z: z}, {"evaluator": lambda z: z, "terms": ()}],
+        ids=["bare", "terms-none", "evaluator-only", "empty-terms"],
+    )
+    def test_field_without_terms_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="a field needs terms"):
+            MatrixField(dim=1, **kwargs)
+        with pytest.raises(ValueError, match="a field needs terms"):
+            dataclasses.replace(identity_field(1), **{"terms": None, **kwargs})
+
+    @pytest.mark.parametrize(
+        "s, reason",
+        [(math.nan, "must be finite"), (math.inf, "must be finite"),
+         (-math.inf, "must be finite"), (-1.0, "must exceed -1")],
+    )
+    def test_each_power_exponent_is_checked(self, s, reason):
+        # a NaN beside a finite exponent must not hide behind min()
+        with pytest.raises(ValueError, match=reason):
+            MatrixField(dim=1, terms=((0.0, np.eye(1)), (s, np.eye(1))))
+        with pytest.raises(ValueError, match=reason):
+            MatrixField(dim=1, singular_exponent=s, terms=((lambda r: r, np.eye(1)),))
 
     def test_singular_exponent_comes_from_the_power_terms(self):
         assert radial_power_field(2.0, np.eye(1)).singular_exponent == 0.0
@@ -605,7 +637,7 @@ class TestBatchedPanels:
             rows.append(z.shape[0])
             return np.broadcast_to(np.eye(dim, dtype=complex), (z.shape[0], dim, dim)).copy()
 
-        field = MatrixField(dim=dim, evaluator=evaluator)
+        field = dataclasses.replace(identity_field(dim), evaluator=evaluator)
         value = integrate(field, HyperbolicDisc(0.5 + 0j, 0.5))
         assert np.array_equal(value, np.eye(dim) * value[0, 0])
         return rows

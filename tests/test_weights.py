@@ -89,6 +89,17 @@ class TestB2Constant:
         with pytest.raises(ValueError):
             b2_constant(IdentityWeight(1), h_grid=[1.5])
 
+    def test_heights_below_the_float_spacing_at_one(self):
+        # the band 0 < 1-|z| < h is taken in exact u = 1-|z|: for
+        # (1-|z|)**a the two averages multiply to 1/((1+a)(1-a)) + O(h),
+        # 4/3 at a = 1/2, also where 1 - h rounds to 1
+        w = ScalarPowerWeight(0.5)
+        for h in (1e-14, 1e-17, 1e-200):
+            assert b2_constant(w, h_grid=[h]) == pytest.approx(4.0 / 3.0, rel=1e-12)
+        # the mass of (1-|z|)**0.5 underflows to zero: a degenerate average
+        with pytest.raises(DegenerateWeightError, match="average of W over"):
+            b2_constant(w, h_grid=[1e-300])
+
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=-0.9, max_value=0.9))
     def test_always_at_least_one(self, a):
@@ -109,11 +120,12 @@ class TestMembership:
         assert not DiagonalPowerWeight([0.5, -1.2]).b2_membership(0.0)
 
     def test_field_without_terms_rejected(self):
+        # a weight field is its terms: one without them cannot be built
         class Opaque(IdentityWeight):
             def field(self):
                 return dataclasses.replace(super().field(), terms=None)
 
-        with pytest.raises(ValueError, match="terms"):
+        with pytest.raises(ValueError, match="a field needs terms"):
             b2_constant(Opaque(1))
 
     def test_non_member_inverse_fails_integrability(self):
@@ -168,3 +180,6 @@ class TestGridDefaults:
         assert 2.0 ** -10 in grid
         assert 0.9 in grid and 0.75 in grid
         assert all(0.0 < h <= 1.0 for h in grid)
+        # each h is exact as a radius too, so the band in u and the annulus
+        # 1-h < |z| < 1 have the same bounds
+        assert all(1.0 - (1.0 - h) == h for h in grid)
