@@ -17,8 +17,9 @@ import math
 import os
 import shutil
 import time
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import yaml
@@ -36,38 +37,28 @@ from .disc_geometry import carleson_square_area, level_rows, row_areas
 from .dyadic import dimension_sweep, dyadic_norm, equivalence_report
 from .errors import ScenarioError
 from .measures import (
-    _decode_matrix,
-    _descriptor_kind,
+    MEASURE_KEYS,
+    REQUIRED,
+    _descriptor,
+    _dim,
     _integer,
+    _list,
+    _matrix,
     _number,
+    _read,
+    _seed,
     carleson_intensity,
     measure_from_descriptor,
     partition_masses,
 )
 from .plotting import chart_from_report
-from .quadrature import constant_field, identity_field, radial_power_field
+from .quadrature import DEFAULT_TOL, constant_field, identity_field, radial_power_field
 from .volterra import LogSymbol, volterra_consistency
-from .weights import b2_constant, default_h_grid, weight_from_descriptor
+from .weights import WEIGHT_KEYS, b2_constant, default_h_grid, weight_from_descriptor
 
 SCENARIO_VERSION = 1
 REPORT_VERSION = 1
 OUTPUT_ENV_VAR = "BERGMAN_CARLESON_OUT"
-#: Top-level keys every kind accepts.
-COMMON_KEYS = frozenset({"version", "kind", "seed", "tol"})
-#: The experiment kinds and their further top-level keys: exactly those
-#: the kind's handler reads.
-KIND_KEYS = {
-    "intensity": frozenset({"measure", "depth"}),
-    "dyadic-norm": frozenset({"measure", "depth"}),
-    "equivalence": frozenset({"measure", "depth"}),
-    "sweep": frozenset({"template", "dims", "depth"}),
-    "b2": frozenset({"weight", "eta", "h_grid"}),
-    "embed": frozenset({"symbol", "weight", "eta", "order", "ratio", "gamma", "grid"}),
-    "volterra": frozenset({"symbol", "weight", "ratio", "grid"}),
-}
-KINDS = tuple(KIND_KEYS)
-#: The keys of the ``grid`` mapping of embed and volterra scenarios.
-GRID_KEYS = frozenset({"max_level", "angles"})
 
 
 def _require(condition: bool, message: str) -> None:
@@ -75,22 +66,71 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
-def _as_int(value, name: str, lo: int, hi: int) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
-    _require(lo <= value <= hi, f"{name} must lie in [{lo}, {hi}]")
-    return value
+def _built(build, desc, label: str):
+    """``build(desc)``, with a malformed descriptor raised as ScenarioError."""
+    try:
+        return build(desc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ScenarioError(f"bad {label} descriptor: {exc}") from exc
 
 
-def _as_float(value, name: str, lo: float, hi: float) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{name} must be a number")
-    value = float(value)
-    _require(lo < value < hi, f"{name} must lie in ({lo}, {hi})")
-    return value
+def _grammar(table: Mapping, label: str) -> tuple:
+    """The (reader, default) of a required descriptor key: the reader
+    checks the descriptor against ``table`` and keeps it as written,
+    since the report echoes it."""
+
+    def read(desc, key):
+        _built(lambda d: _descriptor(d, table, label), desc, label)
+        return desc
+
+    return read, REQUIRED
 
 
-def _mapping(value, name: str) -> dict:
-    _require(isinstance(value, Mapping), f"{name} must be a mapping")
-    return dict(value)
+#: Each symbol descriptor kind's keys besides ``kind``: key -> (reader, default).
+SYMBOL_KEYS = {
+    "identity": {"dim": (_dim, REQUIRED)},
+    "radial_power": {"exponent": (_number, REQUIRED), "dim": (_dim, 1), "scale": (_number, 1.0)},
+    "constant": {"matrix": (_matrix, REQUIRED)},
+}
+VOLTERRA_SYMBOL_KEYS = {
+    "linear_identity": {"dim": (_dim, 1)},
+    "log": {"dim": (_dim, 1)},
+    "poly": {"coefficients": (partial(_list, read=_matrix), REQUIRED)},
+}
+#: The keys of the ``grid`` mapping of embed and volterra scenarios.
+GRID_KEYS = {
+    "max_level": (partial(_integer, lo=1, hi=12), None),
+    "angles": (partial(_integer, lo=1, hi=64), None),
+}
+#: Top-level keys every kind accepts.
+COMMON_KEYS = {
+    "version": (partial(_integer, lo=SCENARIO_VERSION, hi=SCENARIO_VERSION), REQUIRED),
+    "seed": (_seed, 0),
+    "tol": (partial(_number, lo=0.0, hi=1.0), DEFAULT_TOL),
+}
+_DEPTH = (partial(_integer, lo=1, hi=12), 6)
+_ETA = (partial(_number, lo=-1.0, hi=16.0), None)
+_RATIO = (partial(_number, lo=0.0, hi=1.0), None)
+_GRID = (lambda value, key: _read(value, GRID_KEYS, key), None)
+_MEASURE = _grammar(MEASURE_KEYS, "measure")
+_WEIGHT = _grammar(WEIGHT_KEYS, "weight")
+#: The experiment kinds and their top-level keys: exactly those the
+#: kind's handler reads, with their (reader, default).
+SCENARIO_KEYS = {
+    "intensity": {**COMMON_KEYS, "measure": _MEASURE, "depth": _DEPTH},
+    "dyadic-norm": {**COMMON_KEYS, "measure": _MEASURE, "depth": _DEPTH},
+    "equivalence": {**COMMON_KEYS, "measure": _MEASURE, "depth": _DEPTH},
+    "sweep": {**COMMON_KEYS, "template": _grammar(MEASURE_KEYS, "template"),
+              "dims": (partial(_list, read=_dim), REQUIRED), "depth": _DEPTH},
+    "b2": {**COMMON_KEYS, "weight": _WEIGHT, "eta": _ETA,
+           "h_grid": (partial(_list, read=partial(_number, lo=0.0)), None)},
+    "embed": {**COMMON_KEYS, "symbol": _grammar(SYMBOL_KEYS, "symbol"), "weight": _WEIGHT,
+              "eta": _ETA, "order": (partial(_integer, lo=0, hi=8), None), "ratio": _RATIO,
+              "gamma": (partial(_number, lo=-1.0, hi=64.0), None), "grid": _GRID},
+    "volterra": {**COMMON_KEYS, "symbol": _grammar(VOLTERRA_SYMBOL_KEYS, "volterra symbol"),
+                 "weight": _WEIGHT, "ratio": _RATIO, "grid": _GRID},
+}
+KINDS = tuple(SCENARIO_KEYS)
 
 
 def _uses_random_family(scenario: Mapping) -> bool:
@@ -113,141 +153,59 @@ def load_scenario(path) -> dict:
 
 
 def validate_scenario(raw) -> dict:
-    """Normalize and range-check a scenario mapping.
+    """A scenario mapping read by ``SCENARIO_KEYS``, with the defaults of
+    seed, tol and depth written in, after the rules that span keys.
 
     Raises ScenarioError before any output directory exists, so a bad
     configuration never leaves files behind.
     """
-    scenario = _mapping(raw, "scenario")
+    _require(isinstance(raw, Mapping), "scenario must be a mapping")
     _require(
-        scenario.get("version") == SCENARIO_VERSION,
-        f"unrecognized scenario version {scenario.get('version')!r}",
+        "seed" in raw or not _uses_random_family(raw),
+        "seed is mandatory for randomized families",
     )
-    kind = scenario.get("kind")
-    _require(kind in KINDS, f"unknown experiment kind {kind!r}")
-    unknown = sorted(str(key) for key in scenario.keys() - COMMON_KEYS - KIND_KEYS[kind])
-    _require(not unknown, f"unknown {kind} scenario keys: {', '.join(unknown)}")
-    if "seed" in scenario:
-        scenario["seed"] = _as_int(scenario["seed"], "seed", 0, 2**64 - 1)
-    else:
+    try:
+        _, scenario = _descriptor(raw, SCENARIO_KEYS, "scenario")
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ScenarioError(str(exc)) from exc
+    _require(all(h <= 1.0 for h in scenario.get("h_grid", ())), "h must lie in (0, 1]")
+    eta = scenario.get("eta", 0.0)
+    _require(scenario.get("gamma", math.inf) > eta, f"gamma must exceed eta = {eta:g}")
+    if scenario["kind"] == "sweep":
+        # a template may set its dimension by its matrix, not by "dim"
         _require(
-            not _uses_random_family(scenario),
-            "seed is mandatory for randomized families",
-        )
-        scenario["seed"] = 0
-    scenario["tol"] = (
-        _as_float(scenario["tol"], "tol", 0.0, 1.0) if "tol" in scenario else 1e-8
-    )
-    if kind in ("intensity", "dyadic-norm", "equivalence", "sweep"):
-        scenario["depth"] = (
-            _as_int(scenario["depth"], "depth", 1, 12) if "depth" in scenario else 6
-        )
-    if kind in ("intensity", "dyadic-norm", "equivalence"):
-        _mapping(scenario.get("measure"), "measure descriptor")
-    if kind == "sweep":
-        template = _mapping(scenario.get("template"), "template descriptor")
-        _require(
-            _as_int(template.get("dim", 1), "template dim", 1, 128) == 1,
+            _built(measure_from_descriptor, scenario["template"], "template").dimension == 1,
             "sweep template must be one-dimensional",
         )
-        dims = scenario.get("dims")
-        _require(
-            isinstance(dims, Sequence) and not isinstance(dims, (str, bytes)) and dims,
-            "dims must be a nonempty list",
-        )
-        scenario["dims"] = [_as_int(d, "dims entry", 1, 128) for d in dims]
-    if kind == "b2":
-        _mapping(scenario.get("weight"), "weight descriptor")
-        if "eta" in scenario:
-            scenario["eta"] = _as_float(scenario["eta"], "eta", -1.0, 16.0)
-        if "h_grid" in scenario:
-            hs = scenario["h_grid"]
-            _require(
-                isinstance(hs, Sequence) and hs, "h_grid must be a nonempty list"
-            )
-            scenario["h_grid"] = [_as_float(h, "h", 0.0, math.inf) for h in hs]
-            _require(max(scenario["h_grid"]) <= 1.0, "h must lie in (0, 1]")
-    if kind in ("embed", "volterra"):
-        _mapping(scenario.get("symbol"), "symbol descriptor")
-        _mapping(scenario.get("weight"), "weight descriptor")
-        if "ratio" in scenario:
-            scenario["ratio"] = _as_float(scenario["ratio"], "ratio", 0.0, 1.0)
-        if "eta" in scenario:
-            scenario["eta"] = _as_float(scenario["eta"], "eta", -1.0, 16.0)
-        if "grid" in scenario:
-            grid = _mapping(scenario["grid"], "grid")
-            unknown = sorted(str(key) for key in grid.keys() - GRID_KEYS)
-            _require(not unknown, f"unknown grid keys: {', '.join(unknown)}")
-            if "max_level" in grid:
-                grid["max_level"] = _as_int(grid["max_level"], "grid.max_level", 1, 12)
-            if "angles" in grid:
-                grid["angles"] = _as_int(grid["angles"], "grid.angles", 1, 64)
-            scenario["grid"] = grid
-    if kind == "embed":
-        if "order" in scenario:
-            scenario["order"] = _as_int(scenario["order"], "order", 0, 8)
-        if "gamma" in scenario:
-            eta = scenario.get("eta", 0.0)
-            scenario["gamma"] = _as_float(scenario["gamma"], "gamma", eta, 64.0)
     return scenario
 
 
-#: The keys each symbol descriptor kind reads, besides ``kind``.
-SYMBOL_KEYS = {
-    "identity": {"dim"}, "radial_power": {"exponent", "dim", "scale"}, "constant": {"matrix"}
-}
-VOLTERRA_SYMBOL_KEYS = {"linear_identity": {"dim"}, "log": {"dim"}, "poly": {"coefficients"}}
-
-
 def _symbol_field(desc: Mapping):
-    try:
-        kind = _descriptor_kind(desc, SYMBOL_KEYS, "symbol")
-        if kind == "identity":
-            return identity_field(_integer(desc["dim"], "dim"))
-        if kind == "radial_power":
-            dim = _integer(desc.get("dim", 1), "dim")
-            scale = _number(desc.get("scale", 1.0), "scale")
-            exponent = _number(desc["exponent"], "exponent")
-            field = radial_power_field(exponent, scale * np.eye(dim))
-        else:
-            field = constant_field(_decode_matrix(desc["matrix"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"bad symbol descriptor: {exc}") from exc
+    kind, v = _descriptor(desc, SYMBOL_KEYS, "symbol")
+    if kind == "identity":
+        field = identity_field(v["dim"])
+    elif kind == "radial_power":
+        field = radial_power_field(v["exponent"], v["scale"] * np.eye(v["dim"]))
+    else:
+        field = constant_field(v["matrix"])
     # a zero symbol has no growth to fit
-    _require(any(np.any(m) for _, m in field.terms), "symbol is zero")
+    if not any(np.any(m) for _, m in field.terms):
+        raise ValueError("symbol is zero")
     return field
 
 
 def _volterra_symbol(desc: Mapping):
-    try:
-        kind = _descriptor_kind(desc, VOLTERRA_SYMBOL_KEYS, "volterra symbol")
-        if kind == "linear_identity":
-            return OperatorPoly.linear_identity(_integer(desc.get("dim", 1), "dim"))
-        if kind == "log":
-            return LogSymbol(_integer(desc.get("dim", 1), "dim"))
-        coeffs = np.stack([_decode_matrix(c) for c in desc["coefficients"]])
-        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
-            raise ValueError("poly coefficients must be a stack of square matrices")
-        symbol = OperatorPoly(dimension=coeffs.shape[1], coefficients=coeffs)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"bad volterra symbol descriptor: {exc}") from exc
+    kind, v = _descriptor(desc, VOLTERRA_SYMBOL_KEYS, "volterra symbol")
+    if kind == "linear_identity":
+        return OperatorPoly.linear_identity(v["dim"])
+    if kind == "log":
+        return LogSymbol(v["dim"])
+    coeffs = np.stack(v["coefficients"])
+    symbol = OperatorPoly(dimension=coeffs.shape[1], coefficients=coeffs)
     # both forms of the criterion vanish for a constant symbol
-    _require(np.any(symbol.derivative().coefficients), "volterra symbol is constant")
+    if not np.any(symbol.derivative().coefficients):
+        raise ValueError("volterra symbol is constant")
     return symbol
-
-
-def _measure_or_error(desc: Mapping):
-    try:
-        return measure_from_descriptor(desc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"bad measure descriptor: {exc}") from exc
-
-
-def _weight_or_error(desc: Mapping):
-    try:
-        return weight_from_descriptor(desc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"bad weight descriptor: {exc}") from exc
 
 
 def _require_integrable(field, eta: float, label: str) -> None:
@@ -291,7 +249,7 @@ def _base_report(kind: str, scenario: Mapping) -> dict:
 
 
 def _run_intensity(s: Mapping) -> dict:
-    mu = _measure_or_error(s["measure"])
+    mu = _built(measure_from_descriptor, s["measure"], "measure")
     masses = partition_masses(mu, s["depth"], tol=s["tol"])
     rep = carleson_intensity(mu, s["depth"], tol=s["tol"], masses=masses)
     report = _base_report("intensity", s)
@@ -321,7 +279,7 @@ def _run_intensity(s: Mapping) -> dict:
 
 
 def _run_dyadic_norm(s: Mapping) -> dict:
-    mu = _measure_or_error(s["measure"])
+    mu = _built(measure_from_descriptor, s["measure"], "measure")
     masses = partition_masses(mu, s["depth"], tol=s["tol"])
     result = dyadic_norm(
         mu, s["depth"], tol=s["tol"], seed=s["seed"], masses=masses
@@ -349,7 +307,7 @@ def _run_dyadic_norm(s: Mapping) -> dict:
 
 
 def _run_equivalence(s: Mapping) -> dict:
-    mu = _measure_or_error(s["measure"])
+    mu = _built(measure_from_descriptor, s["measure"], "measure")
     masses = partition_masses(mu, s["depth"], tol=s["tol"])
     rep = equivalence_report(mu, s["depth"], tol=s["tol"], seed=s["seed"], masses=masses)
     report = _base_report("equivalence", s)
@@ -380,11 +338,6 @@ def _run_equivalence(s: Mapping) -> dict:
 
 
 def _run_sweep(s: Mapping) -> dict:
-    # a template may set its dimension by its matrix, not by "dim"
-    _require(
-        _measure_or_error(s["template"]).dimension == 1,
-        "sweep template must be one-dimensional",
-    )
     sweep = dimension_sweep(
         s["template"], s["dims"], s["depth"], seed=s["seed"], tol=s["tol"]
     )
@@ -412,7 +365,7 @@ def _run_sweep(s: Mapping) -> dict:
 
 
 def _run_b2(s: Mapping) -> dict:
-    weight = _weight_or_error(s["weight"])
+    weight = _built(weight_from_descriptor, s["weight"], "weight")
     try:
         inverse_field = weight.inverse().field()
     except ValueError as exc:
@@ -443,8 +396,8 @@ def _run_b2(s: Mapping) -> dict:
 
 
 def _run_embed(s: Mapping) -> dict:
-    symbol = _symbol_field(s["symbol"])
-    weight = _weight_or_error(s["weight"])
+    symbol = _built(_symbol_field, s["symbol"], "symbol")
+    weight = _built(weight_from_descriptor, s["weight"], "weight")
     eta = s.get("eta", 0.0)
     _require_integrable(weight.field(), eta, "weight")
     order = s.get("order", 0)
@@ -509,8 +462,8 @@ def _run_embed(s: Mapping) -> dict:
 
 
 def _run_volterra(s: Mapping) -> dict:
-    symbol = _volterra_symbol(s["symbol"])
-    weight = _weight_or_error(s["weight"])
+    symbol = _built(_volterra_symbol, s["symbol"], "volterra symbol")
+    weight = _built(weight_from_descriptor, s["weight"], "weight")
     _require(symbol.dimension == weight.dim, "symbol and weight dimensions differ")
     ratio = s.get("ratio", 0.5)
     grid_cfg = s.get("grid", {})

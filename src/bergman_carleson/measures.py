@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
-from typing import Mapping
+from functools import cached_property, partial
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,55 +47,100 @@ from .quadrature import (
 )
 
 
+#: The largest dimension a descriptor, a weight or a sweep may ask for.
+MAX_DIM = 128
+#: The most atoms a ``random`` measure descriptor may ask for.
+MAX_ATOMS = 1000
+#: The default of a descriptor key that must be given.
+REQUIRED = object()
+
+
 def _encode_matrix(m: np.ndarray) -> list:
     """JSON-safe encoding: nested [real, imag] pairs."""
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _decode_matrix(raw) -> np.ndarray:
-    """Inverse of ``_encode_matrix``; plain nested real lists are read too.
-    A non-finite entry raises ValueError."""
-    arr = np.asarray(raw, dtype=float)
+def _matrix(value, key: str) -> np.ndarray:
+    """A square matrix of finite entries and side at most ``MAX_DIM``,
+    as nested real lists or as the [real, imag] pairs of
+    ``_encode_matrix``."""
+    arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
-    if arr.ndim == 3:
-        return arr[..., 0] + 1j * arr[..., 1]
-    return np.asarray(raw, dtype=complex)
+        raise ValueError(f"{key} entries must be finite")
+    if arr.ndim == 3 and arr.shape[-1] == 2:
+        arr = arr[..., 0] + 1j * arr[..., 1]
+    if arr.ndim != 2 or not 0 < len(arr) == arr.shape[1] <= MAX_DIM:
+        raise ValueError(f"{key} must be a square matrix of side 1 to {MAX_DIM}")
+    return arr.astype(complex)
 
 
-def _integer(value, key: str) -> int:
-    """An integer descriptor value; a float or bool raises ValueError
-    instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+def _integer(value, key: str, lo: int, hi: int) -> int:
+    """An integer in [lo, hi]; a float or bool raises ValueError instead
+    of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ValueError(f"{key} must be an integer in [{lo}, {hi}], got {value!r}")
     return int(value)
 
 
-def _number(value, key: str) -> float:
-    """A real descriptor value; a bool, a non-number or a non-finite
-    value raises ValueError."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
+def _number(value, key: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """A real number in the open interval (lo, hi), so never NaN or
+    infinite; a bool or a non-number raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo < value < hi:
+        raise ValueError(f"{key} must be a finite number in ({lo:g}, {hi:g}), got {value!r}")
     return float(value)
 
 
-def _descriptor_kind(desc: Mapping, kind_keys: Mapping, label: str) -> str:
-    """The kind of a descriptor, which must be a key of ``kind_keys``;
-    keys other than ``kind`` and those the kind reads raise ValueError,
-    so a misspelt option never falls back to its default silently."""
-    if not isinstance(desc, Mapping):
-        raise ValueError(f"a {label} descriptor must be a mapping")
-    kind = desc.get("kind")
-    if kind not in kind_keys:
-        raise ValueError(f"unknown {label} descriptor kind: {kind!r}")
-    unknown = sorted(str(key) for key in desc.keys() - kind_keys[kind] - {"kind"})
+def _flag(value, key: str) -> bool:
+    """A YAML true or false; no other value is read as a truth value."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _list(value, key: str, read, lo: int = 1, hi: int = MAX_DIM) -> list:
+    """A list of lo to hi items, each read by ``read(item, key)``."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence) or not lo <= len(value) <= hi:
+        size = lo if lo == hi else f"{lo} to {hi}"
+        raise ValueError(f"{key} must be a list of {size} items, got {value!r}")
+    return [read(item, key) for item in value]
+
+
+_dim = partial(_integer, lo=1, hi=MAX_DIM)
+_seed = partial(_integer, lo=0, hi=2**64 - 1)
+_pair = partial(_list, read=_number, lo=2, hi=2)
+
+
+def _read(value, keys: Mapping, label: str) -> dict:
+    """The values of a mapping read by ``keys``, which maps each key it
+    may hold to ``(reader, default)``: a present key is read by
+    ``reader(value, key)``, an absent one takes its default, is left out
+    if that is None, and is missing if it is REQUIRED.  A key not in
+    ``keys`` raises ValueError, so a misspelt option never falls back to
+    its default silently."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{label} must be a mapping")
+    unknown = sorted(str(key) for key in value.keys() - keys.keys())
     if unknown:
-        raise ValueError(f"unknown {kind} {label} keys: {', '.join(unknown)}")
-    return kind
+        raise ValueError(f"unknown {label} keys: {', '.join(unknown)}")
+    values = {}
+    for key, (reader, default) in keys.items():
+        if key in value:
+            values[key] = reader(value[key], key)
+        elif default is REQUIRED:
+            raise ValueError(f"missing {label} key: {key}")
+        elif default is not None:
+            values[key] = default
+    return values
+
+
+def _descriptor(desc, table: Mapping, label: str) -> tuple[str, dict]:
+    """The kind of a descriptor, a key of ``table``, and its values, read
+    by ``_read`` with the keys ``table[kind]``; ``kind`` is among them."""
+    kind = desc.get("kind") if isinstance(desc, Mapping) else None
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f"unknown {label} kind: {kind!r}")
+    keys = {"kind": (lambda value, key: value, None), **table[kind]}
+    return kind, _read(desc, keys, f"{kind} {label}")
 
 
 @dataclass(frozen=True)
@@ -455,13 +500,20 @@ def lift_scalar_measure(scalar: MatrixMeasure, dim: int, seed: int) -> MatrixMea
     )
 
 
-#: The keys each measure descriptor kind reads, besides ``kind``.
+#: Each measure descriptor kind's keys besides ``kind``: key -> (reader, default).
 MEASURE_KEYS = {
-    "identity_density": {"dim"},
-    "atom": {"point", "dim", "matrix", "scale"},
-    "radial_power_density": {"dim", "exponent", "scale"},
-    "random": {"dim", "seed", "num_atoms", "annulus", "with_density", "atom_scale"},
-    "lifted": {"dim", "seed", "template"},
+    "identity_density": {"dim": (_dim, REQUIRED)},
+    "atom": {"point": (_pair, REQUIRED), "dim": (_dim, None), "matrix": (_matrix, None),
+             "scale": (_number, None)},
+    "radial_power_density": {"dim": (_dim, 1), "exponent": (_number, REQUIRED),
+                             "scale": (_number, 1.0)},
+    "random": {
+        "dim": (_dim, REQUIRED), "seed": (_seed, 0),
+        "num_atoms": (partial(_integer, lo=0, hi=MAX_ATOMS), 3), "annulus": (_pair, (0.2, 0.9)),
+        "with_density": (_flag, True), "atom_scale": (_number, 1.0),
+    },
+    "lifted": {"dim": (_dim, REQUIRED), "seed": (_seed, REQUIRED),
+               "template": (lambda value, key: measure_from_descriptor(value), REQUIRED)},
 }
 
 
@@ -472,37 +524,22 @@ def measure_from_descriptor(desc: Mapping) -> MatrixMeasure:
     explicit matrix or a scaled identity; a lifted measure rebuilds its
     one-dimensional template first.
     """
-    kind = _descriptor_kind(desc, MEASURE_KEYS, "measure")
+    kind, v = _descriptor(desc, MEASURE_KEYS, "measure")
     if kind == "identity_density":
-        return identity_density_measure(_integer(desc["dim"], "dim"))
+        return identity_density_measure(v["dim"])
     if kind == "atom":
-        re_part, im_part = desc["point"]
-        point = complex(_number(re_part, "point"), _number(im_part, "point"))
-        if "matrix" in desc:
-            matrix = _decode_matrix(desc["matrix"])
-            if "scale" in desc or _integer(desc.get("dim", len(matrix)), "dim") != len(matrix):
+        if "matrix" in v:
+            matrix = v["matrix"]
+            if "scale" in v or v.get("dim", len(matrix)) != len(matrix):
                 raise ValueError("an atom matrix takes no scale and sets the dim")
         else:
-            matrix = np.eye(_integer(desc.get("dim", 1), "dim")) * _number(
-                desc.get("scale", 1.0), "scale"
-            )
-        return atom_measure(point, matrix)
+            matrix = np.eye(v.get("dim", 1)) * v.get("scale", 1.0)
+        return atom_measure(complex(*v["point"]), matrix)
     if kind == "radial_power_density":
-        dim = _integer(desc.get("dim", 1), "dim")
-        exponent = _number(desc["exponent"], "exponent")
-        scale = _number(desc.get("scale", 1.0), "scale")
-        field = radial_power_field(exponent, scale * np.eye(dim))
+        field = radial_power_field(v["exponent"], v["scale"] * np.eye(v["dim"]))
         return density_measure(field, descriptor=dict(desc))
     if kind == "lifted":
-        template = measure_from_descriptor(desc["template"])
-        return lift_scalar_measure(
-            template, _integer(desc["dim"], "dim"), _integer(desc["seed"], "seed")
-        )
+        return lift_scalar_measure(v["template"], v["dim"], v["seed"])
     return random_measure(
-        dim=_integer(desc["dim"], "dim"),
-        seed=_integer(desc.get("seed", 0), "seed"),
-        num_atoms=_integer(desc.get("num_atoms", 3), "num_atoms"),
-        annulus=tuple(_number(a, "annulus") for a in desc.get("annulus", (0.2, 0.9))),
-        with_density=bool(desc.get("with_density", True)),
-        atom_scale=_number(desc.get("atom_scale", 1.0), "atom_scale"),
+        v["dim"], v["seed"], v["num_atoms"], v["annulus"], v["with_density"], v["atom_scale"]
     )

@@ -23,6 +23,7 @@ same route, so the identity weight averages to itself exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,11 +32,15 @@ from .disc_geometry import HyperbolicDisc
 from .errors import DegenerateWeightError
 from .linalg import PSD_FLOOR, hermitize, op_norm, psd_sqrt
 from .measures import (
-    _decode_matrix,
-    _descriptor_kind,
+    MAX_DIM,
+    REQUIRED,
+    _descriptor,
+    _dim,
     _encode_matrix,
-    _integer,
+    _list,
+    _matrix,
     _number,
+    _seed,
     random_unitary,
 )
 from .quadrature import (
@@ -193,38 +198,34 @@ class BlockWeight:
         return {"kind": "block", "blocks": [b.descriptor for b in self.blocks]}
 
 
-#: The keys each weight descriptor kind reads, besides ``kind``.
+#: Each weight descriptor kind's keys besides ``kind``: key -> (reader, default).
 WEIGHT_KEYS = {
-    "identity": {"dim"},
-    "scalar_power": {"exponent", "dim", "matrix"},
-    "diagonal_power": {"exponents", "unitary", "seed"},
-    "block": {"blocks"},
+    "identity": {"dim": (_dim, REQUIRED)},
+    "scalar_power": {"exponent": (_number, REQUIRED), "dim": (_dim, None), "matrix": (_matrix, None)},
+    "diagonal_power": {"exponents": (partial(_list, read=_number), REQUIRED),
+                       "unitary": (_matrix, None), "seed": (_seed, None)},
+    "block": {"blocks": (
+        partial(_list, read=lambda value, key: weight_from_descriptor(value)), REQUIRED
+    )},
 }
 
 
 def weight_from_descriptor(desc: Mapping):
-    kind = _descriptor_kind(desc, WEIGHT_KEYS, "weight")
+    kind, v = _descriptor(desc, WEIGHT_KEYS, "weight")
     if kind == "identity":
-        return IdentityWeight(_integer(desc["dim"], "dim"))
+        return IdentityWeight(v["dim"])
     if kind == "scalar_power":
-        matrix = None
-        if "matrix" in desc:
-            matrix = _decode_matrix(desc["matrix"])
-        return ScalarPowerWeight(
-            _number(desc["exponent"], "exponent"),
-            matrix=matrix,
-            dim=_integer(desc.get("dim", 1), "dim"),
-        )
+        if "matrix" in v and v.get("dim", len(v["matrix"])) != len(v["matrix"]):
+            raise ValueError("a scalar_power matrix sets the dim")
+        return ScalarPowerWeight(v["exponent"], matrix=v.get("matrix"), dim=v.get("dim", 1))
     if kind == "diagonal_power":
-        unitary = None
-        if "unitary" in desc:
-            unitary = _decode_matrix(desc["unitary"])
-        elif "seed" in desc:
-            unitary = random_unitary(len(desc["exponents"]), _integer(desc["seed"], "seed"))
-        return DiagonalPowerWeight(
-            [_number(a, "exponents") for a in desc["exponents"]], unitary=unitary
-        )
-    return BlockWeight([weight_from_descriptor(b) for b in desc["blocks"]])
+        if "unitary" in v and "seed" in v:
+            raise ValueError("a diagonal_power weight takes a unitary or a seed, not both")
+        unitary = random_unitary(len(v["exponents"]), v["seed"]) if "seed" in v else v.get("unitary")
+        return DiagonalPowerWeight(v["exponents"], unitary=unitary)
+    if sum(block.dim for block in v["blocks"]) > MAX_DIM:
+        raise ValueError(f"a block weight's dim must not exceed {MAX_DIM}")
+    return BlockWeight(v["blocks"])
 
 
 # ---------------------------------------------------------------------------

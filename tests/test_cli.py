@@ -126,149 +126,179 @@ def test_report_subcommand_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "scenario",
+    "scenario, needle",
     [
-        {
+        ({
             "version": 1,
             "kind": "volterra",
             "symbol": {"kind": "log", "dim": 2},
             "weight": {"kind": "identity", "dim": 1},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "b2",
             "weight": {"kind": "scalar_power", "exponent": 0.5},
             "h_grid": [1.0 + 5e-13],
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "b2",
             "weight": {"kind": "scalar_power", "exponent": 1.5},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "dyadic-norm",
             "measure": {"kind": "random", "dim": 0, "seed": 0},
             "seed": 0,
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "equivalence",
             "measure": {"kind": "atom", "point": [0.96875, 0.0]},
             "dept": 9,
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "intensity",
             "measure": {"kind": "atom", "point": [0.5, 0.0], "scael": 2.0},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "b2",
             "weight": {"kind": "diagonal_power", "exponents": [0.5, -0.5], "sed": 11},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "embed",
             "symbol": {"kind": "radial_power", "exponent": -0.5, "sacle": 2.0},
             "weight": {"kind": "identity", "dim": 1},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "sweep",
             "template": {"kind": "radial_power_density", "exponnent": 1.5},
             "dims": [1, 2],
             "seed": 0,
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "b2",
             "weight": {"kind": "scalar_power", "exponent": 0.6},
             "eta": -0.5,
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "embed",
             "symbol": {"kind": "identity", "dim": 1},
             "weight": {"kind": "scalar_power", "exponent": -0.6},
             "eta": -0.5,
             "gamma": 1.0,
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "embed",
             "symbol": {"kind": "radial_power", "exponent": -0.5, "dim": 1},
             "weight": {"kind": "identity", "dim": 1},
             "grid": {"max_levle": 3},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "sweep",
             "template": {"kind": "atom", "point": [0.5, 0.0], "dim": "x"},
             "dims": [1, 2],
             "seed": 0,
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "sweep",
             "template": {"kind": "atom", "point": [0.5, 0.0], "matrix": [[1, 0], [0, 1]]},
             "dims": [1, 2],
             "seed": 0,
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "intensity",
             "measure": {"kind": "radial_power_density", "exponent": 1.0, "scale": -1},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "dyadic-norm",
             "measure": {"kind": "radial_power_density", "exponent": 1.0, "scale": -1},
             "seed": 0,
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "intensity",
             "measure": {"kind": "random", "dim": 2, "num_atoms": -1},
             "seed": 0,
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "intensity",
             "measure": {"kind": "random", "dim": 2, "num_atoms": 2.5, "seed": 0},
             "seed": 0,
-        },
-        {"version": 1, "kind": "b2", "weight": {"kind": "identity", "dim": 1.7}},
-        {
+        }, ""),
+        ({"version": 1, "kind": "b2", "weight": {"kind": "identity", "dim": 1.7}}, ""),
+        ({
             "version": 1,
             "kind": "volterra",
             "symbol": {"kind": "log", "dim": 1.9},
             "weight": {"kind": "identity", "dim": 1},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "volterra",
             "symbol": {"kind": "poly", "coefficients": [[[1.0]]]},
             "weight": {"kind": "identity", "dim": 1},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "volterra",
             "symbol": {"kind": "poly", "coefficients": [[[0.0]], [[0.0]]]},
             "weight": {"kind": "identity", "dim": 1},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "embed",
             "symbol": {"kind": "constant", "matrix": [[0.0]]},
             "weight": {"kind": "identity", "dim": 1},
-        },
-        {
+        }, ""),
+        ({
             "version": 1,
             "kind": "embed",
             "symbol": {"kind": "radial_power", "exponent": -0.5, "scale": 0},
             "weight": {"kind": "identity", "dim": 1},
-        },
+        }, ""),
+        ({"version": 1, "kind": "intensity", "depth": 2, "seed": 0,
+          "measure": {"kind": "random", "dim": 1, "with_density": "false"}}, "with_density"),
+        ({"version": 1, "kind": "intensity", "depth": 2, "seed": 0,
+          "measure": {"kind": "random", "dim": 1, "with_density": "no"}}, "with_density"),
+        ({"version": 1, "kind": "intensity", "depth": 2, "seed": 0,
+          "measure": {"kind": "random", "dim": 1, "with_density": 0}}, "with_density"),
+        ({"version": 1, "kind": "intensity", "depth": 2, "seed": 0,
+          "measure": {"kind": "random", "dim": 1, "with_density": 1}}, "with_density"),
+        ({"version": 1, "kind": "b2", "h_grid": [1.0],
+          "weight": {"kind": "diagonal_power", "exponents": [0.5, -0.5],
+                     "unitary": [[1.0, 0.0], [0.0, 1.0]], "seed": 3}}, "seed"),
+        ({"version": 1, "kind": "intensity", "depth": 2,
+          "measure": {"kind": "identity_density", "dim": 1000000}}, "dim"),
+        ({"version": 1, "kind": "b2", "h_grid": [1.0],
+          "weight": {"kind": "identity", "dim": 1000000}}, "dim"),
+        ({"version": 1, "kind": "embed", "weight": {"kind": "identity", "dim": 1},
+          "symbol": {"kind": "identity", "dim": 100000},
+          "grid": {"max_level": 1, "angles": 1}}, "dim"),
+        ({"version": 1, "kind": "intensity", "depth": 2, "seed": 0,
+          "measure": {"kind": "random", "dim": 1, "num_atoms": 1001}}, "num_atoms"),
+        ({"version": True, "kind": "intensity", "depth": 2,
+          "measure": {"kind": "atom", "point": [0.5, 0.0]}}, "version"),
+        ({"version": 1, "kind": "intensity", "depth": 2,
+          "measure": {"kind": "atom", "point": [0.5, 0.0, 0.0]}}, "point"),
+        ({"version": 1, "kind": "intensity", "depth": 2, "seed": 0,
+          "measure": {"kind": "random", "dim": 1, "annulus": [0.2, 0.5, 0.9]}}, "annulus"),
+        ({"version": 1, "kind": "b2", "h_grid": [1.0],
+          "weight": {"kind": "scalar_power", "exponent": 0.5, "dim": 2, "matrix": [[2.0]]}}, "dim"),
+        ({"version": 1, "kind": "intensity", "depth": 2,
+          "measure": {"kind": "atom", "point": [0.5, 0.0], "matrix": [[[1.0]]]}}, "matrix"),
     ],
     ids=[
         "volterra-dimension-mismatch",
@@ -295,16 +325,31 @@ def test_report_subcommand_rejects_garbage(tmp_path):
         "volterra-zero-poly-symbol",
         "embed-zero-constant-symbol",
         "embed-zero-radial-power-symbol",
+        "random-with-density-string-false",
+        "random-with-density-string-no",
+        "random-with-density-zero",
+        "random-with-density-one",
+        "diagonal-power-unitary-and-seed",
+        "identity-density-dim-million",
+        "identity-weight-dim-million",
+        "identity-symbol-dim-100000",
+        "random-num-atoms-above-cap",
+        "version-true",
+        "atom-point-of-three",
+        "random-annulus-of-three",
+        "scalar-power-matrix-and-other-dim",
+        "atom-matrix-nested-three-deep",
     ],
 )
-def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario):
+def test_rejected_inputs_exit_one_without_output(tmp_path, capsys, scenario, needle):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(scenario))
     out_root = tmp_path / "results"
     rc = cli.main([scenario["kind"], "--scenario", str(path), "--out", str(out_root)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error:")
+    # a row's needle is the key its message must name
+    assert err.startswith("error:") and needle in err
     assert "Traceback" not in err
     assert not out_root.exists()
 

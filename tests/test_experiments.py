@@ -9,9 +9,10 @@ from bergman_carleson import cli, experiments
 from bergman_carleson.errors import ScenarioError
 from bergman_carleson.experiments import (
     COMMON_KEYS,
-    KIND_KEYS,
+    SCENARIO_KEYS,
     SYMBOL_KEYS,
     VOLTERRA_SYMBOL_KEYS,
+    _built,
     _symbol_field,
     _volterra_symbol,
     build_report,
@@ -143,7 +144,7 @@ class TestValidation:
     )
     def test_symbol_typos_rejected(self, build, desc):
         with pytest.raises(ScenarioError):
-            build(desc)
+            _built(build, desc, "symbol")
 
 
 class _ReadLog(dict):
@@ -225,13 +226,13 @@ def test_handlers_read_only_allowed_keys():
          "weight": {"kind": "identity", "dim": 1}, "ratio": 0.5,
          "grid": {"max_level": 1, "angles": 1}},
     ]
-    assert sorted(s["kind"] for s in scenarios) == sorted(KIND_KEYS)
+    assert sorted(s["kind"] for s in scenarios) == sorted(SCENARIO_KEYS)
     for scenario in scenarios:
         logged = _ReadLog(validate_scenario(scenario))
         experiments._HANDLERS[logged["kind"]](logged)
-        allowed = COMMON_KEYS | KIND_KEYS[logged["kind"]]
-        assert logged.read <= allowed, logged["kind"]
-        assert KIND_KEYS[logged["kind"]] <= logged.read, logged["kind"]
+        keys = SCENARIO_KEYS[logged["kind"]].keys()
+        assert logged.read <= keys | {"kind"}, logged["kind"]
+        assert keys - COMMON_KEYS.keys() <= logged.read, logged["kind"]
 
 
 class TestRunScenario:
