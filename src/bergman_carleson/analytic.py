@@ -7,8 +7,7 @@ integral kills all cross terms, which turns polynomial norms into short
 sums of beta moments and kernel norms into rapidly convergent
 coefficient series, one per term; both routes hold machine accuracy
 arbitrarily close to the boundary.  Everything else falls back to the
-adaptive two-dimensional engine with refinement hints around the
-kernel focus.
+adaptive two-dimensional engine.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .disc_geometry import HyperbolicDisc, TWO_PI, WholeDisc
+from .disc_geometry import HyperbolicDisc, WholeDisc
 from .linalg import op_norm, psd_inv_sqrt, sandwich
 from .quadrature import (
     DEFAULT_TOL,
@@ -302,13 +301,6 @@ def _generic_quadratic_norm(f, field: MatrixField, eta, tol) -> float:
         wv = field.evaluator(z)
         return np.real(np.einsum("mi,mij,mj->m", np.conj(fv), wv, fv))
 
-    radial_breaks: tuple = ()
-    angular_breaks: tuple = ()
-    if isinstance(f, KernelFunction) and abs(f.center) > 0.1:
-        # refinement hints at the kernel focus
-        rho = abs(f.center)
-        radial_breaks = (rho, 0.5 * (1.0 + rho))
-        angular_breaks = (cmath.phase(f.center) % TWO_PI,)
     value = integrate_values(
         fn,
         (),
@@ -316,8 +308,6 @@ def _generic_quadratic_norm(f, field: MatrixField, eta, tol) -> float:
         MeasureSpec(eta),
         tol=tol,
         singular_exponent=field.singular_exponent,
-        radial_breaks=radial_breaks,
-        angular_breaks=angular_breaks,
     )
     return float(np.real(value))
 

@@ -38,7 +38,6 @@ from .disc_geometry import (
     top_half_partition,
 )
 from .errors import PowerIterationError
-from .linalg import hermitize
 from .measures import (
     MatrixMeasure,
     PartitionMasses,
@@ -213,8 +212,7 @@ def dyadic_norm(
     areas = row_areas(depth)
     ratios = masses.cell_norms / areas
     best = int(np.argmax(ratios))
-    blocks = hermitize(masses.cells)
-    blocks /= areas[:, None, None]
+    blocks = masses.cells / areas[:, None, None]
     top_eigen, iterations = _lanczos(blocks, seed)
     return DyadicNormResult(
         closed_form=math.sqrt(ratios[best]),

@@ -27,7 +27,6 @@ from .disc_geometry import (
     DyadicIndex,
     Region,
     TopHalf,
-    TWO_PI,
     carleson_square_area,
     contains,
     level_rows,
@@ -42,7 +41,7 @@ from .quadrature import (
     PLAIN,
     constant_field,
     integrate,
-    integrate_polar_rect,
+    integrate_band,
     radial_power_field,
 )
 
@@ -340,9 +339,7 @@ def partition_masses(
             cells[level_rows(level)] += integrate(
                 mu.density, TopHalf(DyadicIndex(level, 0)), PLAIN, tol=tol
             )
-        slivers += integrate_polar_rect(
-            mu.density, 1.0 - 2.0 ** -(depth + 1), 1.0, 0.0, TWO_PI, PLAIN, tol=tol
-        ) * 2.0 ** -depth
+        slivers += integrate_band(mu.density, 2.0 ** -(depth + 1), 0.0, PLAIN, tol) * 2.0 ** -depth
 
     return PartitionMasses(dimension=d, depth=depth, cells=cells, slivers=slivers)
 

@@ -9,35 +9,36 @@ boxes are aligned with the boundary of the requested region, a
 coarse/fine estimate pair (the box against its children) gives every
 box an error indicator, and the box with the worst indicator is bisected
 along every axis until the summed indicators drop below
-``tol * (1 + |result|)`` or the evaluation budget runs out, in which case
+``tol * (1 + |result|)`` or the fixed budget of DEFAULT_BUDGET node
+evaluations per integral runs out, in which case
 :class:`ToleranceNotReached` carries the best estimate out.
 
-Polar rectangles are bands in the exact coordinate u = 1 - |z|: the
-region u_out < 1 - |z| <= u_in, t0 <= arg z < t1.  A level-n top half
-is the band (2**-n, 2**-(n+1)), a Carleson square (2**-n, 0) and the
+Bands are taken in the exact coordinate u = 1 - |z|: the region
+u_out < 1 - |z| <= u_in.  A level-n top half is the band
+(2**-n, 2**-(n+1)) on an arc, a Carleson square (2**-n, 0) and the
 whole disc (1, 0), each exact at every level, although 1 - 2**-n rounds
-to 1 from level 54 on; ``integrate_polar_rect`` takes radii and converts
-them to u once.
+to 1 from level 54 on.
 
 A field is a sum of radial profiles times constant matrices, its
-``terms`` (see :class:`MatrixField`), and takes one band route on every
-polar rectangle: the whole disc, Carleson squares, top halves, annuli
-and the squares of the weight checker.  Its integral is the arc fraction
-times the band mass; a dyadic arc's fraction is the exact 2**-n.  A
-power term's mass is taken in closed form at u_in and u_out, and a
-function term's mass from the engine on its scalar profile over a
-segment; the result is the sum of mass times matrix, so the cost does
-not grow with the dimension and the evaluator is never called.  Every
-other region goes through the evaluator.
+``terms`` (see :class:`MatrixField`), and takes one band route,
+``integrate_band``, on the whole disc, Carleson squares, top halves and
+the squares of the weight checker.  A dyadic region's integral is its
+arc fraction, the exact 2**-n, times the band mass.  A power term's mass
+is taken in closed form at u_in and u_out, and a function term's mass
+from the one 1-D radial routine, ``_radial``, on its scalar profile; the
+result is the sum of mass times matrix, so the cost does not grow with
+the dimension and the evaluator is never called.  Every other region
+goes through the evaluator.
 
-Every polar rectangle uses one map, (v, t) -> (1 - v**p) e^{it} with
-u = v**p.  The integer p is chosen from the combined exponent q of the
-measure and the field's declared boundary power (1-|z|)**s, q = eta + s,
-so that the transplanted power p*(1+q)-1 of v is a non-negative integer
-whenever q is rational with a moderate denominator; q = 0 gives p = 1.
-The radial factor then turns into a polynomial and integrable
-singularities (q > -1) converge at the smooth-panel rate instead of
-stalling the refinement loop.  The other maps are local polar rectangles
+Radial segments and polar rectangles take their nodes in v with
+u = v**p, the latter through the map (v, t) -> (1 - v**p) e^{it}.  The
+integer p is chosen from the combined exponent q of the measure and the
+field's declared boundary power (1-|z|)**s, q = eta + s, so that the
+transplanted power p*(1+q)-1 of v is a non-negative integer whenever q
+is rational with a moderate denominator; q = 0 gives p = 1.  The radial
+factor then turns into a polynomial and integrable singularities
+(q > -1) converge at the smooth-panel rate instead of stalling the
+refinement loop.  The other maps are local polar rectangles
 about the center of a HyperbolicDisc and the exact TildeDisc map
 (t, phi) -> c + t s*(phi) e^{i phi} with t in [0, 1] and Jacobian
 t s*(phi)**2.  Its edge is s*(phi) = C / (B + sqrt(B**2 - A C)) with
@@ -81,7 +82,7 @@ from .disc_geometry import (
 from .errors import ToleranceNotReached
 
 DEFAULT_TOL = 1e-8
-#: Node evaluation budget per integrate call.
+#: Node evaluation budget per integral.
 DEFAULT_BUDGET = 2_000_000
 GAUSS_ORDER = 10
 #: Most value entries (nodes times entries per value) one evaluator call
@@ -126,12 +127,13 @@ class MatrixField:
     ``terms`` define the field as a sum W(z) = sum_j phi_j(|z|) M_j of
     (profile, matrix) pairs: a profile is an exponent s, meaning
     (1-r)**s, or a vectorized function of r, and every matrix is
-    dim x dim.  Polar rectangles read the terms, see
-    ``integrate_polar_rect``; every other region reads the evaluator,
-    which takes a complex array of shape (m,) and returns values of
-    shape (m, dim, dim).  It is sum_j phi_j(|z|) M_j, summed from the
-    first term; an evaluator passed with the terms must agree with them.
-    Only the tilted ``DiagonalPowerWeight`` passes one, see there, and an
+    dim x dim.  The one band entry, ``integrate_band``, reads the terms:
+    power terms in closed form, function terms through the one 1-D
+    radial routine.  Every other region reads the evaluator, which takes
+    a complex array of shape (m,) and returns values of shape
+    (m, dim, dim).  It is sum_j phi_j(|z|) M_j, summed from the first
+    term; an evaluator passed with the terms must agree with them.  Only
+    the tilted ``DiagonalPowerWeight`` passes one, see there, and an
     instrumented copy is ``dataclasses.replace(field, evaluator=...)``.
 
     ``singular_exponent`` declares boundary behavior like (1-|z|)**s so
@@ -332,7 +334,7 @@ def _split(box):
     return [sum(parts, ()) for parts in itertools.product(*halves)]
 
 
-def _adapt(estimate, boxes, tol, budget):
+def _adapt(estimate, boxes, tol):
     """Greedy worst-box refinement over seed boxes.
 
     A box is a segment (a, b) or a rectangle (x0, x1, y0, y1), and
@@ -369,7 +371,7 @@ def _adapt(estimate, boxes, tol, budget):
         err_sum += err
 
     while err_sum > tol * (1.0 + _value_norm(total)):
-        if evals >= budget:
+        if evals >= DEFAULT_BUDGET:
             raise ToleranceNotReached(
                 f"error estimate {err_sum:.3e} above requested {tol:.3e} "
                 f"after {evals} evaluations",
@@ -393,20 +395,12 @@ def _adapt(estimate, boxes, tol, budget):
     return final, err_sum, evals
 
 
-def _cuts(a, b, breaks):
-    return [a] + sorted(p for p in breaks if a < p < b) + [b]
-
-
-def _seed_rects(x0, x1, xbreaks, y0, y1, ybreaks, max_y_span=0.5 * math.pi):
-    xs = _cuts(x0, x1, xbreaks)
-    ys = _cuts(y0, y1, ybreaks)
-    refined = []
-    for a, b in zip(ys[:-1], ys[1:]):
-        pieces = max(1, math.ceil((b - a) / max_y_span))
-        step = (b - a) / pieces
-        refined.extend(a + i * step for i in range(pieces))
-    refined.append(y1)
-    ys = refined
+def _seed_rects(x0, x1, xbreaks, y0, y1):
+    """Seed rectangles: x cut at the breaks, y in equal pieces of at most pi/2."""
+    xs = [x0] + sorted(p for p in xbreaks if x0 < p < x1) + [x1]
+    pieces = max(1, math.ceil((y1 - y0) / (0.5 * math.pi)))
+    step = (y1 - y0) / pieces
+    ys = [y0 + i * step for i in range(pieces)] + [y1]
     return [
         (xa, xb, ya, yb)
         for xa, xb in zip(xs[:-1], xs[1:])
@@ -414,39 +408,54 @@ def _seed_rects(x0, x1, xbreaks, y0, y1, ybreaks, max_y_span=0.5 * math.pi):
     ]
 
 
-def _polar_rect_integrate(
-    fn, shape, eta, singular_exponent, u_in, u_out, t0, t1, tol, budget,
-    radial_breaks=(), angular_breaks=(),
-):
+def _polar_rect_integrate(fn, shape, eta, singular_exponent, u_in, u_out, t0, t1, tol):
     """The band u_out < 1-|z| <= u_in, t0 <= arg z < t1, seeded in v = u**(1/p)."""
     p = _power_substitution(eta + singular_exponent)
-    inv_p = 1.0 / p
-    vbreaks = [(1.0 - rb) ** inv_p for rb in radial_breaks if u_out < 1.0 - rb < u_in]
-    estimate = _rule(fn, shape, _polar(eta, p))
-    rects = _seed_rects(u_out ** inv_p, u_in ** inv_p, vbreaks, t0, t1, angular_breaks)
-    return _adapt(estimate, rects, tol, budget)
+    rects = _seed_rects(u_out ** (1.0 / p), u_in ** (1.0 / p), (), t0, t1)
+    return _adapt(_rule(fn, shape, _polar(eta, p)), rects, tol)
 
 
-def _local_polar_integrate(fn, shape, eta, region, tol, budget):
+def _local_polar_integrate(fn, shape, eta, region, tol):
     """HyperbolicDisc or TildeDisc in polar coordinates about its center."""
     center = region.center
     if isinstance(region, HyperbolicDisc):
         rho = region.euclidean_radius
         # a Euclidean disc: the box's first axis is the distance s itself
         nodes = _local_polar(eta, center, np.ones_like)
-        rects = _seed_rects(0.0, rho, [0.5 * rho], 0.0, TWO_PI, ())
+        rects = _seed_rects(0.0, rho, [0.5 * rho], 0.0, TWO_PI)
     else:
         # the edge has its only corner in the direction of the origin, so
         # the angular period starts there
         phi0 = cmath.phase(-center)
         nodes = _local_polar(eta, center, _tilde_edge(center, region.ratio))
-        rects = _seed_rects(0.0, 1.0, (), phi0, phi0 + TWO_PI, ())
-    estimate = _rule(fn, shape, nodes)
-    return _adapt(estimate, rects, tol, budget)
+        rects = _seed_rects(0.0, 1.0, (), phi0, phi0 + TWO_PI)
+    return _adapt(_rule(fn, shape, nodes), rects, tol)
 
 
 # ---------------------------------------------------------------------------
 # one-dimensional radial integrals
+
+
+def _radial(fn, shape, u_out, u_in, q, s, tol):
+    """Integral of fn(r) * (1-r)**q over the band u_out < 1-r <= u_in.
+
+    The nodes lie in v with u = 1-r = v**p, p chosen from q + s as for
+    the polar map (see the module docstring), where the power factor
+    becomes the polynomial p * v**(p*(1+q)-1): no (1-r)**q is ever formed
+    near r = 1, so power weights integrate without cancellation.  The
+    bounds stay exact in u, and fn reads r clamped clear of r = 1.
+    """
+    p = _power_substitution(q + s)
+    alpha = p * (1.0 + q) - 1.0
+
+    def integrand(v: np.ndarray) -> np.ndarray:
+        vals = np.asarray(fn(np.minimum(1.0 - v ** p, 1.0 - _BOUNDARY_CLAMP)))
+        w = p * v ** alpha
+        return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
+
+    seg = (u_out ** (1.0 / p), u_in ** (1.0 / p))
+    value, _, _ = _adapt(_rule(integrand, shape, _line), [seg], tol)
+    return value
 
 
 def radial_integral(
@@ -455,77 +464,48 @@ def radial_integral(
     b: float,
     q: float = 0.0,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ):
-    """Integral of fn(r) * (1-r)**q over [a, b] for smooth vectorized fn.
-
-    The power factor is applied by the integrator itself in the
-    substituted variable 1-r = u**p, where it becomes the polynomial
-    p * u**(p*(1+q)-1): no (1-r)**q is ever formed near r = 1, so power
-    weights integrate without cancellation.
-    """
+    """Integral of fn(r) * (1-r)**q over [a, b] for smooth vectorized fn:
+    ``_radial`` on the band 1-b <= 1-r < 1-a."""
     if not q > -1.0:
         raise ValueError("q must exceed -1 for an integrable power")
     if not a < b <= 1.0:
         raise ValueError("need a < b <= 1")
-    probe = np.asarray(fn(np.array([0.5 * (a + b)])))
-    shape = probe.shape[1:]
-    p = _power_substitution(q)
-    alpha = p * (1.0 + q) - 1.0
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        vals = np.asarray(fn(1.0 - u ** p))
-        w = p * u ** alpha
-        return vals * w.reshape((-1,) + (1,) * (vals.ndim - 1))
-
-    seg = ((1.0 - b) ** (1.0 / p), (1.0 - a) ** (1.0 / p))
-    value, _, _ = _adapt(_rule(integrand, shape, _line), [seg], tol, budget)
+    shape = np.asarray(fn(np.array([0.5 * (a + b)]))).shape[1:]
+    value = _radial(fn, shape, 1.0 - b, 1.0 - a, q, 0.0, tol)
     return value if shape else complex(value).real
 
 
-def _profile_mass(profile, eta, singular_exponent, u_in, u_out, tol, budget):
-    """Integral of profile(r) * w_eta(r) * 2r dr over the band
-    u_out < 1-r <= u_in: the dA_eta mass of a function term there.
+# ---------------------------------------------------------------------------
+# public entry points
 
-    With q = eta + s != 0 the nodes lie in v with 1-r = v**p, as in
-    ``_polar``; with q = 0 they lie in r, where the ``random`` density's
-    recorded bits were taken.
+
+def integrate_band(
+    field: MatrixField,
+    u_in: float,
+    u_out: float,
+    spec: MeasureSpec = PLAIN,
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """Matrix integral of a field over the band u_out < 1-|z| <= u_in of
+    the full circle, against dA_eta; a Hermitian matrix.
+
+    It is sum_j mass_j M_j over the terms.  A power term (1-r)**s has the
+    closed-form mass (eta+1) * 2[u**(q+1)/(q+1) - u**(q+2)/(q+2)] from
+    u_out to u_in, with q = eta+s, evaluated at the exact band bounds, so
+    no 1-|z| is formed.  A function term's mass comes from ``_radial`` on
+    its scalar profile, at the field's singular exponent.  An empty band,
+    u_in == u_out, has mass zero.
     """
-    q = eta + singular_exponent
-    if q != 0.0:
-        p = _power_substitution(q)
-
-        def integrand(v):
-            r = np.minimum(1.0 - v ** p, 1.0 - _BOUNDARY_CLAMP)
-            w = (eta + 1.0) * p * v ** (p * (1.0 + eta) - 1.0) * 2.0 * r
-            return profile(r) * w
-
-        seg = (u_out ** (1.0 / p), u_in ** (1.0 / p))
-    else:
-
-        def integrand(r):
-            return profile(r) * ((eta + 1.0) * (1.0 - r) ** eta * 2.0 * r)
-
-        seg = (1.0 - u_in, 1.0 - u_out)
-    value, _, _ = _adapt(_rule(integrand, (), _line), [seg], tol, budget)
-    return value
-
-
-def _band(field, u_in, u_out, eta, tol, budget) -> np.ndarray:
-    """sum_j mass_j M_j over the terms of a field: its integral over the
-    band u_out < 1-|z| <= u_in against dA_eta.
-
-    A power term (1-r)**s has the closed-form mass
-    (eta+1) * 2[u**(q+1)/(q+1) - u**(q+2)/(q+2)] from u_out to u_in,
-    with q = eta+s, evaluated at the exact band bounds, so no 1-|z| is
-    formed.  A function term's mass comes from the engine on its scalar
-    profile, at the field's singular exponent.
-    """
+    if not 0.0 <= u_out <= u_in <= 1.0:
+        raise ValueError("need 0 <= u_out <= u_in <= 1")
+    eta = spec.eta
     total = np.zeros((field.dim, field.dim), dtype=complex)
     for profile, matrix in field.terms:
         if callable(profile):
-            mass = _profile_mass(
-                profile, eta, field.singular_exponent, u_in, u_out, tol, budget
+            mass = (eta + 1.0) * _radial(
+                lambda r: profile(r) * (2.0 * r), (), u_out, u_in, eta,
+                field.singular_exponent, tol,
             )
         else:
             q = eta + profile
@@ -537,11 +517,7 @@ def _band(field, u_in, u_out, eta, tol, budget) -> np.ndarray:
 
             mass = (eta + 1.0) * 2.0 * (primitive(u_in) - primitive(u_out))
         total = total + mass * matrix
-    return total
-
-
-# ---------------------------------------------------------------------------
-# public entry points
+    return 0.5 * (total + total.conj().T)
 
 
 def _dyadic_bounds(region) -> tuple[float, float, float, float]:
@@ -565,28 +541,24 @@ def integrate_values(
     region: Region,
     spec: MeasureSpec = PLAIN,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
     singular_exponent: float = 0.0,
-    radial_breaks: Sequence[float] = (),
-    angular_breaks: Sequence[float] = (),
 ) -> np.ndarray:
     """Integrate an array-valued function over a region against dA_eta.
 
     This is the generic engine entry: ``integrate_scalar`` wraps it for
     scalars, and ``integrate`` for a field's evaluator on every region
-    that is not a polar rectangle.
+    that is not dyadic.
     """
     shape = tuple(value_shape)
     eta = spec.eta
     if isinstance(region, (WholeDisc, CarlesonSquare, TopHalf)):
         u_in, u_out, t0, t1 = _dyadic_bounds(region)
         value, _, _ = _polar_rect_integrate(
-            fn, shape, eta, singular_exponent, u_in, u_out, t0, t1, tol, budget,
-            radial_breaks=radial_breaks, angular_breaks=angular_breaks,
+            fn, shape, eta, singular_exponent, u_in, u_out, t0, t1, tol
         )
         return np.asarray(value)
     if isinstance(region, (HyperbolicDisc, TildeDisc)):
-        value, _, _ = _local_polar_integrate(fn, shape, eta, region, tol, budget)
+        value, _, _ = _local_polar_integrate(fn, shape, eta, region, tol)
         return np.asarray(value)
     raise TypeError(f"not a region: {region!r}")
 
@@ -596,24 +568,22 @@ def integrate(
     region: Region,
     spec: MeasureSpec = PLAIN,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
     """Matrix integral of a field over a region against dA_eta.
 
     Returns a Hermitian matrix; positive semidefiniteness of the field
     survives up to roundoff because all quadrature weights are positive.
-    The whole disc, Carleson squares and top halves are polar rectangles
-    and take the route of ``integrate_polar_rect`` on their exact band
-    bounds and arc fraction, 1 or 2**-n; the other regions read the
-    evaluator.
+    The whole disc, Carleson squares and top halves are their arc
+    fraction, 1 or 2**-n, times ``integrate_band`` on their exact band
+    bounds; the other regions read the evaluator.
     """
     if isinstance(region, (WholeDisc, CarlesonSquare, TopHalf)):
         u_in, u_out, _, _ = _dyadic_bounds(region)
         fraction = 1.0 if isinstance(region, WholeDisc) else 2.0 ** -region.index.level
-        return _rect(field, u_in, u_out, fraction, spec, tol, budget)
+        return fraction * integrate_band(field, u_in, u_out, spec, tol)
     value = integrate_values(
         field.evaluator, (field.dim, field.dim), region, spec=spec, tol=tol,
-        budget=budget, singular_exponent=field.singular_exponent,
+        singular_exponent=field.singular_exponent,
     )
     return 0.5 * (value + value.conj().T)
 
@@ -623,37 +593,7 @@ def integrate_scalar(
     region: Region,
     spec: MeasureSpec = PLAIN,
     tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Scalar integral over a region against dA_eta; returns the real part."""
-    value = integrate_values(fn, (), region, spec=spec, tol=tol, budget=budget)
+    value = integrate_values(fn, (), region, spec=spec, tol=tol)
     return float(np.real(value))
-
-
-def integrate_polar_rect(
-    field: MatrixField,
-    r0: float,
-    r1: float,
-    t0: float,
-    t1: float,
-    spec: MeasureSpec = PLAIN,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-) -> np.ndarray:
-    """Matrix integral over the polar rectangle [r0, r1] x [t0, t1).
-
-    The band route: (t1 - t0) / 2 pi times the annulus integral from
-    ``_band``, so a full annulus (t0, t1) = (0, 2 pi) is the band itself.
-    The radii are converted to the band bounds u = 1 - r once, here.  An
-    empty band, r0 == r1, has mass zero.
-    """
-    if not 0.0 <= r0 <= r1 <= 1.0:
-        raise ValueError("need 0 <= r0 <= r1 <= 1")
-    return _rect(field, 1.0 - r0, 1.0 - r1, (t1 - t0) / TWO_PI, spec, tol, budget)
-
-
-def _rect(field, u_in, u_out, fraction, spec, tol, budget=DEFAULT_BUDGET) -> np.ndarray:
-    """The integral over the band u_out < 1-|z| <= u_in restricted to an
-    arc that is ``fraction`` of the circle."""
-    value = fraction * _band(field, u_in, u_out, spec.eta, tol, budget)
-    return 0.5 * (value + value.conj().T)

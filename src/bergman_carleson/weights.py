@@ -48,9 +48,9 @@ from .quadrature import (
     MatrixField,
     MeasureSpec,
     PLAIN,
-    _rect,
     identity_field,
     integrate,
+    integrate_band,
     radial_power_field,
 )
 
@@ -257,7 +257,7 @@ def averaged_weight(
     """
     region = HyperbolicDisc(z, r)
     num = integrate(weight.field(), region, PLAIN, tol=tol)
-    den = integrate(identity_field(weight.dim), region, PLAIN, tol=tol)
+    den = integrate(identity_field(1), region, PLAIN, tol=tol)
     avg = num / den[0, 0].real
     return _require_nondegenerate(avg, "averaged weight")
 
@@ -292,11 +292,11 @@ def b2_constant(
     for h in hs:
         if not 0.0 < h <= 1.0:
             raise ValueError(f"square height {h} outside (0, 1]")
-    fields = (weight.field(), weight.inverse().field(), identity_field(weight.dim))
+    fields = (weight.field(), weight.inverse().field(), identity_field(1))
 
     def evaluate(h: float) -> float:
         # averages over 0 < 1-|z| < h, with one shared denominator
-        num_w, num_inv, den = (_rect(f, h, 0.0, 1.0, spec, tol) for f in fields)
+        num_w, num_inv, den = (integrate_band(f, h, 0.0, spec, tol) for f in fields)
         avg_w, avg_inv = num_w / den[0, 0].real, num_inv / den[0, 0].real
         _require_nondegenerate(avg_w, f"average of W over S({h:g})")
         _require_nondegenerate(avg_inv, f"average of W^-1 over S({h:g})")

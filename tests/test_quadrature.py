@@ -24,10 +24,10 @@ from bergman_carleson.disc_geometry import (
     WholeDisc,
     top_half_area,
 )
+from bergman_carleson import quadrature
 from bergman_carleson.errors import ToleranceNotReached
 from bergman_carleson.quadrature import (
     BATCH_ENTRIES,
-    DEFAULT_BUDGET,
     GAUSS_ORDER,
     MatrixField,
     MeasureSpec,
@@ -42,7 +42,7 @@ from bergman_carleson.quadrature import (
     constant_field,
     identity_field,
     integrate,
-    integrate_polar_rect,
+    integrate_band,
     integrate_scalar,
     integrate_values,
     radial_integral,
@@ -140,7 +140,7 @@ class TestBandRoute:
             got = integrate(field, CarlesonSquare(DyadicIndex(n, n % 2)), spec)
             mass = self.power_mass(s, eta, 1.0 - 2.0**-n, 1.0)
             np.testing.assert_allclose(got, mass * 2.0**-n * self.M, rtol=1e-14)
-        got = integrate_polar_rect(field, 0.25, 0.75, 0.0, TWO_PI, spec)
+        got = integrate_band(field, 0.75, 0.25, spec)
         np.testing.assert_allclose(got, self.power_mass(s, eta, 0.25, 0.75) * self.M, rtol=1e-14)
 
     @pytest.mark.parametrize("s, eta", [(0.0, 0.0), (-0.5, 0.0), (2.87, 0.0), (0.5, -0.5), (-0.99, 1.0)])
@@ -158,11 +158,9 @@ class TestBandRoute:
             )
             np.testing.assert_allclose(integrate(field, region), engine, rtol=1e-9)
         engine, _, _ = _polar_rect_integrate(
-            field.evaluator, (2, 2), 0.0, -0.5, 0.75, 0.0, 0.0, TWO_PI, 1e-11, DEFAULT_BUDGET
+            field.evaluator, (2, 2), 0.0, -0.5, 0.75, 0.0, 0.0, TWO_PI, 1e-11
         )
-        np.testing.assert_allclose(
-            integrate_polar_rect(field, 0.25, 1.0, 0.0, TWO_PI), engine, rtol=1e-9
-        )
+        np.testing.assert_allclose(integrate_band(field, 0.75, 0.0), engine, rtol=1e-9)
 
     def test_non_integrable_power_rejected(self):
         field = radial_power_field(-0.75, np.eye(1))
@@ -196,8 +194,8 @@ class TestBandRoute:
             assert p == q and m is n
         for region in (DISC, TopHalf(DyadicIndex(4, 3)), CarlesonSquare(DyadicIndex(2, 0))):
             assert np.array_equal(integrate(copy, region), integrate(field, region))
-        for rect in ((0.5, 1.0, 0.0, TWO_PI), (0.3, 0.9, 0.2, 1.1)):
-            assert np.array_equal(integrate_polar_rect(copy, *rect), integrate_polar_rect(field, *rect))
+        for band in ((0.5, 0.0), (0.7, 0.1)):
+            assert np.array_equal(integrate_band(copy, *band), integrate_band(field, *band))
         assert not calls
         region = HyperbolicDisc(0.5 + 0.25j, 0.5)
         assert np.array_equal(integrate(copy, region), integrate(field, region))
@@ -243,6 +241,8 @@ class TestEveryLevel:
         "power-0.5": (((-0.5, M),), lambda u_in, u_out: _exact_band_mass(-0.5, u_in, u_out)),
         "power0": (((0.0, M),), lambda u_in, u_out: _exact_band_mass(0.0, u_in, u_out)),
         "power2.87": (((2.87, M),), lambda u_in, u_out: _exact_band_mass(2.87, u_in, u_out)),
+        # a lone function term has q = 0
+        "function": (((lambda r: 2.0 + r, M),), _exact_linear_mass),
         "function-and-power": (
             ((lambda r: 2.0 + r, M), (-0.5, M)),
             lambda u_in, u_out: _exact_linear_mass(u_in, u_out)
@@ -394,22 +394,25 @@ class TestRadialIntegral:
 
 class TestPolarRect:
     def test_sector_mass(self):
-        got = integrate_polar_rect(identity_field(1), 0.3, 0.9, 0.2, 1.1)[0, 0].real
+        # the sector 0.3 < |z| <= 0.9, 0.2 <= arg z < 1.1: its arc fraction
+        # of the circle times the band 0.1 < 1-|z| <= 0.7
+        got = 0.9 / TWO_PI * integrate_band(identity_field(1), 0.7, 0.1)[0, 0].real
         expect = (0.81 - 0.09) * 0.9 / (2.0 * math.pi)
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_empty_band_has_zero_mass(self):
         for field in (radial_power_field(-0.5, np.eye(2)), identity_field(2)):
-            for r in (0.5, 1.0):
-                assert not np.any(integrate_polar_rect(field, r, r, 0.0, 1.0))
+            for u in (0.5, 0.0):
+                assert not np.any(integrate_band(field, u, u))
         for u in (0.5, 0.0):
             # the 2-D engine on the same empty band
             value, _, _ = _polar_rect_integrate(
-                flat_values(2), (2, 2), 0.0, 0.0, u, u, 0.0, 1.0, 1e-8, DEFAULT_BUDGET
+                flat_values(2), (2, 2), 0.0, 0.0, u, u, 0.0, 1.0, 1e-8
             )
             assert not np.any(value)
-        with pytest.raises(ValueError):
-            integrate_polar_rect(identity_field(1), 0.6, 0.5, 0.0, 1.0)
+        for u_in, u_out in ((0.4, 0.5), (1.5, 0.0), (0.5, -0.1)):
+            with pytest.raises(ValueError):
+                integrate_band(identity_field(1), u_in, u_out)
         # the deepest top half is a band in exact u, not an empty one:
         # 2[u**0.5/0.5 - u**1.5/1.5] from 2**-61 to 2**-60, over 2**60 arcs
         got = integrate(radial_power_field(-0.5, np.eye(2)), TopHalf(DyadicIndex(60, 7)))
@@ -429,17 +432,16 @@ class TestPolarRect:
 
 class TestEngineBehavior:
     @pytest.mark.parametrize("path", ["disc", "radial"])
-    def test_budget_exhaustion_carries_partial_result(self, path):
+    def test_budget_exhaustion_carries_partial_result(self, path, monkeypatch):
         def f(z):
             return (np.cos(40.0 * np.angle(z)) + 2.0)[:, None, None].astype(complex)
 
+        monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", 4000)
         with pytest.raises(ToleranceNotReached) as exc:
             if path == "disc":
-                integrate_values(f, (1, 1), DISC, tol=1e-14, budget=4000)
+                integrate_values(f, (1, 1), DISC, tol=1e-14)
             else:
-                radial_integral(
-                    lambda r: np.cos(4000.0 * r) + 2.0, 0.0, 1.0, tol=1e-14, budget=4000
-                )
+                radial_integral(lambda r: np.cos(4000.0 * r) + 2.0, 0.0, 1.0, tol=1e-14)
         err = exc.value
         assert err.value is not None
         assert err.evaluations >= 4000
@@ -622,11 +624,11 @@ class TestBatchedPanels:
         # refinements of 4 children with 4 children each
         ones = lambda z: np.ones(z.shape[0])  # noqa: E731
         region = HyperbolicDisc(0.5 + 0j, 0.5)
-        _, _, evals = _local_polar_integrate(ones, (), 0.0, region, 1e-8, DEFAULT_BUDGET)
+        _, _, evals = _local_polar_integrate(ones, (), 0.0, region, 1e-8)
         assert evals == 4000
         cauchy = lambda z: 1.0 / (1.0 - z)  # noqa: E731
         region = HyperbolicDisc(0.3 + 0j, 0.8)
-        value, _, evals = _local_polar_integrate(cauchy, (), 0.0, region, 1e-8, DEFAULT_BUDGET)
+        value, _, evals = _local_polar_integrate(cauchy, (), 0.0, region, 1e-8)
         assert evals == 8000
         assert complex(value).real.hex() == "0x1.cac08312697b2p-2"
 

@@ -23,9 +23,9 @@ DIGESTS = {
         "plot.svg": "7f9b8d60a555d4871df7d2388c2960df04d4fda1bfea69e8c44e68168d89c6d9",
     },
     "dyadic_norm_random": {
-        "report.json": "b7c74b9ae037ad9450cc1c096ee1c38fb7894b358323271ade7106b8fd4972e8",
-        "curves.csv": "d0c81175f1061052ade7b673f92bb4f9303eb92c32d8f9455b88652a23261a5e",
-        "plot.svg": "492d0fe803a517ca79d72c6a19615f0fb2b70206e4a06e2d934a22af1408c216",
+        "report.json": "1d1aa65bf01c5fd15042c084115a5ada7e4d2e5d6240279a21f2bc48d78b716b",
+        "curves.csv": "b74f9d39f8103e03aacf8a2fdec5971809ce158b5caa01f8bcbd938f26547518",
+        "plot.svg": "cc5d83c8d70245b80a915d6d1355bcb264f931c1837f44bd6d52d561c4d4b43e",
     },
     "embed_radial_singular": {
         "report.json": "7832034386b229ab6db17a40209b562f921ab7a2167dea0ed15d5040745ebc4e",
